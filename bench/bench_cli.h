@@ -1,13 +1,11 @@
 // One flag grammar for every experiment binary.
 //
-// The harness binaries used to scatter per-binary environment knobs
-// (NBV6_FLEET_*, NBV6_FIREHOSE_*) that were invisible to --help and easy
-// to typo silently. Cli gives them a single declarative parser:
+// Every harness binary declares its knobs through one declarative parser,
+// so each knob shows up in --help and a typo fails loudly:
 //
 //   int residences = 256;
 //   bench::Cli cli("fleet_fig_cdf", "Fleet population CDF figure");
-//   cli.flag_int("residences", &residences, "fleet size",
-//                "NBV6_FLEET_RESIDENCES");
+//   cli.flag_int("residences", &residences, "fleet size");
 //   if (!cli.parse(argc, argv)) return cli.exit_code();
 //
 // Grammar: `--key=value`, `--key value`, bare `--key` for booleans, and
@@ -16,15 +14,10 @@
 // flags and malformed values fail loudly with usage on stderr. Bare
 // positionals (declared in order) keep legacy invocations like
 // `fuzz_scenarios 64 1 outdir` working.
-//
-// The old environment variables survive as *deprecated fallbacks*: when a
-// flag is absent but its registered env var is set, the env value applies
-// and a one-line deprecation warning lands on stderr. Flags always win.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <string_view>
 #include <variant>
@@ -39,31 +32,21 @@ class Cli {
   Cli(std::string program, std::string description)
       : program_(std::move(program)), description_(std::move(description)) {}
 
-  void flag_int(std::string name, int* target, std::string help,
-                const char* deprecated_env = nullptr) {
-    flags_.push_back({std::move(name), target, std::move(help),
-                      deprecated_env == nullptr ? "" : deprecated_env});
+  void flag_int(std::string name, int* target, std::string help) {
+    flags_.push_back({std::move(name), target, std::move(help)});
   }
-  void flag_u64(std::string name, std::uint64_t* target, std::string help,
-                const char* deprecated_env = nullptr) {
-    flags_.push_back({std::move(name), target, std::move(help),
-                      deprecated_env == nullptr ? "" : deprecated_env});
+  void flag_u64(std::string name, std::uint64_t* target, std::string help) {
+    flags_.push_back({std::move(name), target, std::move(help)});
   }
-  void flag_double(std::string name, double* target, std::string help,
-                   const char* deprecated_env = nullptr) {
-    flags_.push_back({std::move(name), target, std::move(help),
-                      deprecated_env == nullptr ? "" : deprecated_env});
+  void flag_double(std::string name, double* target, std::string help) {
+    flags_.push_back({std::move(name), target, std::move(help)});
   }
-  void flag_string(std::string name, std::string* target, std::string help,
-                   const char* deprecated_env = nullptr) {
-    flags_.push_back({std::move(name), target, std::move(help),
-                      deprecated_env == nullptr ? "" : deprecated_env});
+  void flag_string(std::string name, std::string* target, std::string help) {
+    flags_.push_back({std::move(name), target, std::move(help)});
   }
   /// Bare `--name` sets true; `--name=true|false|1|0` sets explicitly.
-  void flag_bool(std::string name, bool* target, std::string help,
-                 const char* deprecated_env = nullptr) {
-    flags_.push_back({std::move(name), target, std::move(help),
-                      deprecated_env == nullptr ? "" : deprecated_env});
+  void flag_bool(std::string name, bool* target, std::string help) {
+    flags_.push_back({std::move(name), target, std::move(help)});
   }
   /// Optional bare positional, consumed in declaration order; always a
   /// string (legacy callers parse as they always did).
@@ -75,7 +58,6 @@ class Cli {
   /// after --help (exit_code() == 0) or a parse error (exit_code() == 2,
   /// message + usage already on stderr).
   bool parse(int argc, char** argv) {
-    std::vector<bool> given(flags_.size(), false);
     std::size_t next_pos = 0;
     for (int i = 1; i < argc; ++i) {
       std::string_view arg = argv[i];
@@ -105,25 +87,11 @@ class Cli {
         if (!apply(*f, has_value ? value : std::string_view("true")))
           return fail("invalid value '" + std::string(value) + "' for '--" +
                       std::string(name) + "'");
-        given[static_cast<std::size_t>(f - flags_.data())] = true;
       } else {
         if (next_pos >= positionals_.size())
           return fail("unexpected argument '" + std::string(arg) + "'");
         *positionals_[next_pos++].target = std::string(arg);
       }
-    }
-    // Deprecated env fallbacks: only where no flag was given.
-    for (std::size_t i = 0; i < flags_.size(); ++i) {
-      Flag& f = flags_[i];
-      if (given[i] || f.env.empty()) continue;
-      const char* v = std::getenv(f.env.c_str());
-      if (v == nullptr) continue;
-      if (!apply(f, v))
-        return fail("invalid value '" + std::string(v) +
-                    "' in deprecated env " + f.env);
-      std::fprintf(stderr,
-                   "%s: warning: %s is deprecated, use --%s=%s instead\n",
-                   program_.c_str(), f.env.c_str(), f.name.c_str(), v);
     }
     return true;
   }
@@ -138,9 +106,7 @@ class Cli {
     std::fprintf(out, "\n\nflags:\n");
     for (const auto& f : flags_) {
       std::string label = "--" + f.name + "=" + default_text(f);
-      std::fprintf(out, "  %-34s %s%s%s\n", label.c_str(), f.help.c_str(),
-                   f.env.empty() ? "" : " [env: ",
-                   f.env.empty() ? "" : (f.env + ", deprecated]").c_str());
+      std::fprintf(out, "  %-34s %s\n", label.c_str(), f.help.c_str());
     }
     for (const auto& p : positionals_)
       std::fprintf(out, "  %-34s %s (positional)\n", p.name.c_str(),
@@ -154,7 +120,6 @@ class Cli {
     std::string name;
     Target target;
     std::string help;
-    std::string env;  ///< deprecated fallback env var ("" = none)
   };
   struct Positional {
     std::string name;

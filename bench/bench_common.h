@@ -101,16 +101,13 @@ inline engine::FleetConfig default_bench_fleet() {
 }
 
 /// Register the shared fleet scenario flags on `cli`, targeting `cfg`
-/// (typically default_bench_fleet()). The old NBV6_FLEET_* env knobs stay
-/// wired in as deprecated fallbacks.
+/// (typically default_bench_fleet()).
 inline void register_fleet_flags(Cli& cli, engine::FleetConfig& cfg) {
-  cli.flag_int("residences", &cfg.residences.mut(), "fleet size",
-               "NBV6_FLEET_RESIDENCES");
-  cli.flag_int("days", &cfg.days.mut(), "simulated horizon in days",
-               "NBV6_FLEET_DAYS");
-  cli.flag_u64("seed", &cfg.seed.mut(), "scenario master seed", "NBV6_FLEET_SEED");
-  cli.flag_int("threads", &cfg.threads.mut(), "worker lanes, 0 = hw concurrency",
-               "NBV6_FLEET_THREADS");
+  cli.flag_int("residences", &cfg.residences.mut(), "fleet size");
+  cli.flag_int("days", &cfg.days.mut(), "simulated horizon in days");
+  cli.flag_u64("seed", &cfg.seed.mut(), "scenario master seed");
+  cli.flag_int("threads", &cfg.threads.mut(),
+               "worker lanes, 0 = hw concurrency");
 }
 
 /// The standard web universe at NBV6_SITES scale.

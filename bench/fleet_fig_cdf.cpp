@@ -6,12 +6,17 @@
 //   ./build/fleet_fig_cdf [--residences=N --days=N --seed=S --threads=T]
 //                         [cdf-out.csv] [summary-out.csv]
 //
-// (See --help; the old NBV6_FLEET_* env knobs remain deprecated fallbacks.)
+// The scenario runs through the standard pass graph
+// (core/scenario_pipeline.h); see --help for the flags.
 #include <cstdio>
+#include <memory>
 #include <string>
 
 #include "core/fleet_analysis.h"
+#include "core/scenario_pipeline.h"
 #include "engine/fleet.h"
+#include "engine/pipeline.h"
+#include "engine/thread_pool.h"
 #include "traffic/service_catalog.h"
 
 #include "bench_common.h"
@@ -31,13 +36,14 @@ int main(int argc, char** argv) {
 
   bench::section("Fleet figure: population CDFs of per-residence metrics");
   auto catalog = traffic::build_paper_catalog();
-  engine::FleetEngine fleet(catalog, cfg.threads);
+  const int lanes = engine::resolve_lanes(cfg.threads);
+  std::unique_ptr<engine::ThreadPool> pool;  // + the calling thread
+  if (lanes > 1) pool = std::make_unique<engine::ThreadPool>(lanes - 1);
   std::printf("fleet: %d residences x %d days on %d lane(s)\n",
-              cfg.residences.get(), cfg.days.get(), fleet.lanes());
-  auto result = fleet.run(cfg);
-
-  auto matrix = core::extract_metrics(result, core::default_fleet_metrics(),
-                                      fleet.pool());
+              cfg.residences.get(), cfg.days.get(), lanes);
+  engine::Pipeline pipe = core::make_scenario_pipeline(cfg, catalog);
+  pipe.run(nullptr, pool.get());
+  const auto& matrix = pipe.output<core::FleetMetricMatrix>("metric_matrix");
   auto dists = core::population_distributions(matrix);
 
   for (const auto& d : dists) {

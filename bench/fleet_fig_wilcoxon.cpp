@@ -11,12 +11,17 @@
 //   ./build/fleet_fig_wilcoxon [--residences=N --days=N --seed=S
 //                               --threads=T] [panel-out.tsv]
 //
-// (See --help; the old NBV6_FLEET_* env knobs remain deprecated fallbacks.)
+// The scenario runs through the standard pass graph
+// (core/scenario_pipeline.h); see --help for the flags.
 #include <cstdio>
+#include <memory>
 #include <string>
 
 #include "core/fleet_analysis.h"
+#include "core/scenario_pipeline.h"
 #include "engine/fleet.h"
+#include "engine/pipeline.h"
+#include "engine/thread_pool.h"
 #include "traffic/service_catalog.h"
 
 #include "bench_common.h"
@@ -34,12 +39,14 @@ int main(int argc, char** argv) {
 
   bench::section("Fleet figure: Wilcoxon group-comparison panels");
   auto catalog = traffic::build_paper_catalog();
-  engine::FleetEngine fleet(catalog, cfg.threads);
+  const int lanes = engine::resolve_lanes(cfg.threads);
+  std::unique_ptr<engine::ThreadPool> pool;  // + the calling thread
+  if (lanes > 1) pool = std::make_unique<engine::ThreadPool>(lanes - 1);
   std::printf("fleet: %d residences x %d days on %d lane(s)\n",
-              cfg.residences.get(), cfg.days.get(), fleet.lanes());
-  auto result = fleet.run(cfg);
-
-  auto report = core::fleet_stats_report(result, fleet.pool());
+              cfg.residences.get(), cfg.days.get(), lanes);
+  engine::Pipeline pipe = core::make_scenario_pipeline(cfg, catalog);
+  pipe.run(nullptr, pool.get());
+  const auto& report = pipe.output<core::FleetStatsReport>("stats_report");
 
   std::FILE* out = std::fopen(panel_path.c_str(), "w");
   if (out == nullptr) {
@@ -64,11 +71,9 @@ int main(int argc, char** argv) {
   // day-resolved session stats make every row real — he_failure_rate
   // included.
   if (cfg.days >= 2) {
-    core::DayWindow pre{0, cfg.days / 2 - 1};
-    core::DayWindow post{cfg.days / 2, cfg.days - 1};
-    auto windows =
-        core::compare_windows(result, core::default_fleet_metrics(), pre,
-                              post, core::FleetGroup::all, fleet.pool());
+    const core::DayWindow pre{0, cfg.days / 2 - 1};
+    const core::DayWindow post{cfg.days / 2, cfg.days - 1};
+    const auto& windows = pipe.output<core::GroupComparison>("window_panel");
     std::printf("\n-- days %d-%d vs days %d-%d (paired, Holm alpha=0.05) --\n",
                 pre.first, pre.last, post.first, post.last);
     core::write_panel_tsv(stdout, windows);

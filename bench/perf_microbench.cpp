@@ -7,10 +7,11 @@
 #include <vector>
 
 #include "dns/resolver.h"
-#include "engine/firehose.h"
 #include "engine/flat_conntrack.h"
 #include "engine/fleet.h"
+#include "engine/run_spec.h"
 #include "engine/thread_pool.h"
+#include "engine/timeline.h"
 #include "flowmon/conntrack.h"
 #include "net/cryptopan.h"
 #include "net/lpm_trie.h"
@@ -143,11 +144,11 @@ void BM_FleetIngest(benchmark::State& state) {
   cfg.residences = static_cast<int>(state.range(0));
   cfg.days = 2;
   cfg.seed = 99;
-  auto configs = engine::sample_fleet(cfg, catalog);
-  engine::FleetEngine fleet(catalog, /*threads=*/4);
+  auto configs = engine::sample_stage(cfg, catalog).configs;
+  engine::ThreadPool pool(3);  // + the calling thread = 4 lanes
   std::uint64_t flows = 0;
   for (auto _ : state) {
-    auto result = fleet.run(configs);
+    auto result = engine::simulate_fleet(catalog, configs, &pool);
     flows += result.totals.flows;
     benchmark::DoNotOptimize(result);
   }
@@ -236,7 +237,7 @@ void BM_CryptoPanV6Batch(benchmark::State& state) {
 }
 BENCHMARK(BM_CryptoPanV6Batch)->Unit(benchmark::kMicrosecond);
 
-// The headline path: a fleet streamed tick-by-tick through the firehose
+// The headline path: a fleet sampled, planned and streamed tick-by-tick
 // into a counting sink, 4 lanes. Counter = flows per second (all-core).
 void BM_FirehoseStream(benchmark::State& state) {
   engine::FleetConfig cfg;
@@ -246,12 +247,16 @@ void BM_FirehoseStream(benchmark::State& state) {
   cfg.arrival->mode = traffic::ArrivalMode::poisson;
   cfg.arrival->ticks_per_hour = 12;
   auto catalog = traffic::build_paper_catalog();
-  engine::Firehose hose(catalog, 4);
+  engine::ThreadPool pool(3);  // + the calling thread = 4 lanes
   std::uint64_t flows = 0;
   for (auto _ : state) {
-    auto result = hose.run(cfg, [&](const engine::FlowEvent& ev) {
-      benchmark::DoNotOptimize(ev.bytes_out);
-    });
+    engine::SampledFleet fleet = engine::sample_stage(cfg, catalog);
+    engine::apply_timeline(fleet, cfg.timeline, cfg.seed, cfg.days);
+    auto result = engine::stream_fleet(
+        catalog, fleet, cfg.days, cfg.arrival, &pool,
+        [&](const engine::FlowEvent& ev) {
+          benchmark::DoNotOptimize(ev.bytes_out);
+        });
     flows += result.flows;
     benchmark::DoNotOptimize(result.flows);
   }

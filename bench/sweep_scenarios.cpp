@@ -120,7 +120,7 @@ int main(int argc, char** argv) {
 
   const auto catalog = traffic::build_paper_catalog();
   std::unique_ptr<engine::ThreadPool> pool;
-  if (lanes <= 0) lanes = engine::FleetEngine(catalog, 0).lanes();
+  lanes = engine::resolve_lanes(lanes);
   if (lanes > 1) pool = std::make_unique<engine::ThreadPool>(lanes - 1);
   if (workers > 1) overlap = true;
   if (overlap && workers <= 1) workers = lanes;
@@ -195,16 +195,18 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Spot equivalence: the pipelined base result matches the standalone
-  // engine path on the horizon totals (byte-level identity across lane
-  // counts is pinned by pipeline_test's golden-parity suite).
+  // Spot equivalence: the pipelined base result matches direct stage calls
+  // on the horizon totals (byte-level identity across lane counts is
+  // pinned by pipeline_test's golden-parity suite).
   const auto& piped = pipes[0]->output<engine::FleetResult>("fleet_result");
-  engine::FleetEngine standalone(catalog, lanes);
-  const auto direct = standalone.run(base);
+  engine::SampledFleet planned = engine::sample_stage(base, catalog);
+  engine::apply_timeline(planned, base.timeline, base.seed, base.days);
+  const auto direct = engine::simulate_fleet(catalog, planned, pool.get());
   if (piped.totals.sessions != direct.totals.sessions ||
       piped.totals.flows != direct.totals.flows ||
       piped.totals.he_failures != direct.totals.he_failures) {
-    std::fprintf(stderr, "FAIL: pipelined totals diverge from standalone\n");
+    std::fprintf(stderr,
+                 "FAIL: pipelined totals diverge from direct stage calls\n");
     return 1;
   }
 

@@ -3,9 +3,11 @@
 // five instrumented households to an ISP-sized fleet.
 //
 // Reads an optional key=value scenario config (see examples/fleet.cfg for
-// every knob), samples the residence population deterministically from the
-// scenario seed, fans the simulation out over a FlatConntrack shard per
-// residence, and reduces the shard monitors into one fleet view.
+// every knob) and runs it through the standard pass graph
+// (core/scenario_pipeline.h): sample the residence population
+// deterministically from the scenario seed, apply the timeline, fan the
+// simulation out over a FlatConntrack shard per residence, and reduce the
+// shard monitors into one fleet view.
 //
 // Closes with the fleet-statistics layer: population stratum sizes and the
 // Holm-corrected Wilcoxon group-comparison panels (rank-sum between
@@ -15,10 +17,14 @@
 //   ./build/example_fleet_scenario [scenario.cfg]
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 
 #include "core/client_analysis.h"
 #include "core/fleet_analysis.h"
+#include "core/scenario_pipeline.h"
 #include "engine/fleet.h"
+#include "engine/pipeline.h"
+#include "engine/thread_pool.h"
 #include "stats/descriptive.h"
 #include "stats/wilcoxon.h"
 #include "traffic/service_catalog.h"
@@ -37,11 +43,11 @@ int main(int argc, char** argv) {
   }
 
   auto catalog = traffic::build_paper_catalog();
-  auto sampled = engine::sample_fleet_detailed(cfg, catalog);
-  engine::apply_timeline(sampled, cfg.timeline, cfg.seed, cfg.days);
-  engine::FleetEngine fleet(catalog, cfg.threads);
+  const int lanes = engine::resolve_lanes(cfg.threads);
+  std::unique_ptr<engine::ThreadPool> pool;  // + the calling thread
+  if (lanes > 1) pool = std::make_unique<engine::ThreadPool>(lanes - 1);
   std::printf("fleet: %d residences x %d days on %d lane(s)\n",
-              cfg.residences.get(), cfg.days.get(), fleet.lanes());
+              cfg.residences.get(), cfg.days.get(), lanes);
   if (!cfg.timeline->empty()) {
     std::printf("timeline:");
     for (const auto& ev : cfg.timeline->events)
@@ -50,7 +56,9 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
-  auto result = fleet.run(sampled);
+  engine::Pipeline pipe = core::make_scenario_pipeline(cfg, catalog);
+  pipe.run(nullptr, pool.get());
+  const auto& result = pipe.output<engine::FleetResult>("fleet_result");
   std::printf("simulated %llu sessions, %llu flows (%llu invisible, %llu HE "
               "failures, %llu lost to outages, %llu to dark services, %llu "
               "to CGN exhaustion)\n",
@@ -113,7 +121,8 @@ int main(int argc, char** argv) {
 
   // Fleet statistics: stratum sizes, then the Holm-corrected Wilcoxon
   // group-comparison panels over the per-residence shards.
-  auto stats_report = core::fleet_stats_report(result, fleet.pool());
+  const auto& stats_report =
+      pipe.output<core::FleetStatsReport>("stats_report");
   std::printf("\npopulation strata:");
   for (auto g : {core::FleetGroup::healthy_v6, core::FleetGroup::broken_cpe,
                  core::FleetGroup::v4_only, core::FleetGroup::heavy_streamer,
@@ -135,11 +144,9 @@ int main(int argc, char** argv) {
   // before/after view of whatever the scenario scheduled (rollout waves,
   // fixes, migrations) with the paired signed-rank machinery.
   if (!cfg.timeline->empty() && cfg.days >= 2) {
-    core::DayWindow pre{0, cfg.days / 2 - 1};
-    core::DayWindow post{cfg.days / 2, cfg.days - 1};
-    auto metrics = core::default_fleet_metrics();
-    auto windows = core::compare_windows(result, metrics, pre, post,
-                                         core::FleetGroup::all, fleet.pool());
+    const core::DayWindow pre{0, cfg.days / 2 - 1};
+    const core::DayWindow post{cfg.days / 2, cfg.days - 1};
+    const auto& windows = pipe.output<core::GroupComparison>("window_panel");
     std::printf("\n-- days %d-%d vs days %d-%d (paired, Holm alpha=0.05) --\n",
                 pre.first, pre.last, post.first, post.last);
     core::write_panel_tsv(stdout, windows);

@@ -17,7 +17,7 @@
 // Every pass wraps the exact production stage function (sample_stage,
 // apply_timeline, simulate_fleet, extract_metrics, fleet_stats_report,
 // compare_windows, write_*) — the pipelined run of a scenario is
-// byte-identical to the standalone FleetEngine::run path, which the
+// byte-identical to calling those stage functions in sequence, which the
 // golden-parity test pins across lane counts.
 //
 // The config digests draw a deliberate line through FleetConfig: the

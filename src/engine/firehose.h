@@ -1,23 +1,22 @@
-// Firehose: streaming flow emission for whole fleets.
+// Flow events: the records of the streaming path.
 //
-// The batch pipeline simulates residences to completion and reduces
-// aggregate monitors; nothing downstream ever sees an individual flow in
-// time order. The firehose inverts that: it drives every fleet lane
-// day-by-day, captures each generated flow with its (day, tick)
-// coordinates, and streams the records to a sink callback in a canonical
-// global order — tick-major, then residence index, then generation order.
-// That order is a pure function of the scenario (seed, horizon, arrival
-// config), so the emitted stream is byte-identical for any lane count:
-// the same replay guarantee the batch goldens pin, extended to a flow
-// stream a downstream consumer (exporter, ingest daemon, backpressure
-// experiment) could tap live.
+// The batch path simulates residences to completion and reduces aggregate
+// monitors; nothing downstream ever sees an individual flow in time order.
+// The streaming path (stream_fleet, engine/run_spec.h) inverts that: it
+// drives every fleet lane day-by-day, captures each generated flow with
+// its (day, tick) coordinates in a FlowEventBuffer, and streams the
+// records to a sink callback in a canonical global order — tick-major,
+// then residence index, then generation order. That order is a pure
+// function of the scenario (seed, horizon, arrival config), so the emitted
+// stream is byte-identical for any lane count: the same replay guarantee
+// the batch goldens pin, extended to a flow stream a downstream consumer
+// (exporter, ingest daemon, backpressure experiment) could tap live.
 //
 // Throughput of this path — flows/sec/core out of bench/firehose_throughput
 // — is the repo's headline benchmark.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "engine/fleet.h"
@@ -26,7 +25,7 @@
 
 namespace nbv6::engine {
 
-/// One generated flow as the firehose emits it.
+/// One generated flow as the streaming path emits it.
 struct FlowEvent {
   std::uint32_t residence = 0;  ///< residence index in the sampled fleet
   std::int32_t day = 0;         ///< simulated day the flow was generated in
@@ -47,7 +46,7 @@ struct FlowEvent {
 /// open → account → close triple, so the buffer appends on open and
 /// completes the latest record on account/close; `advance(day, tick)` —
 /// the generator's optional per-slot hook — stamps the coordinates.
-/// Records accumulate until clear(); Firehose drains per day.
+/// Records accumulate until clear(); stream_fleet drains per day.
 class FlowEventBuffer {
  public:
   void advance(int day, int tick) {
@@ -87,37 +86,6 @@ class FlowEventBuffer {
   std::vector<FlowEvent> events_;
   int day_ = 0;
   int tick_ = 0;
-};
-
-class Firehose {
- public:
-  /// Receives every emitted flow, in the canonical stream order.
-  using Sink = std::function<void(const FlowEvent&)>;
-
-  struct Result {
-    std::uint64_t flows = 0;  ///< records handed to the sink
-    int lanes = 1;            ///< worker lanes the run used
-    /// Generator counters summed across the fleet — identical to what the
-    /// batch engine's FleetResult::totals reports for the same scenario.
-    traffic::SimulationStats totals;
-  };
-
-  /// `threads` as FleetConfig::threads: <= 0 selects hardware concurrency,
-  /// 1 is the sequential reference.
-  explicit Firehose(const traffic::ServiceCatalog& catalog, int threads = 0);
-
-  /// Sample + timeline + simulate the scenario, streaming every flow to
-  /// `sink`. Lanes parallelize within each day; emission happens on the
-  /// calling thread in canonical order, so the sink needs no locking and
-  /// sees a lane-count-invariant stream.
-  Result run(const FleetConfig& cfg, const Sink& sink);
-
-  [[nodiscard]] int lanes() const { return lanes_; }
-
- private:
-  const traffic::ServiceCatalog* catalog_;
-  int lanes_;
-  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace nbv6::engine

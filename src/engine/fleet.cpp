@@ -1,14 +1,10 @@
 #include "engine/fleet.h"
 
-#include <algorithm>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <utility>
-
-#include "engine/run_spec.h"
 
 namespace nbv6::engine {
 
@@ -146,47 +142,6 @@ std::optional<FleetConfig> FleetConfig::load(const std::string& path,
   std::ostringstream buf;
   buf << in.rdbuf();
   return parse(buf.str(), error);
-}
-
-std::vector<traffic::ResidenceConfig> sample_fleet(
-    const FleetConfig& cfg, const traffic::ServiceCatalog& catalog) {
-  return sample_fleet_detailed(cfg, catalog).configs;
-}
-
-SampledFleet sample_fleet_detailed(const FleetConfig& cfg,
-                                   const traffic::ServiceCatalog& catalog) {
-  // Compatibility wrapper: the sampling loop itself lives in
-  // engine/run_spec.cpp (sample_stage), the RunDetail::sample stage of the
-  // unified run entry point.
-  return RunSpec(cfg).detail(RunDetail::sample).run(catalog).sampled;
-}
-
-FleetEngine::FleetEngine(const traffic::ServiceCatalog& catalog, int threads)
-    : catalog_(&catalog) {
-  if (threads <= 0) {
-    threads = static_cast<int>(std::thread::hardware_concurrency());
-    threads = std::max(threads, 1);
-  }
-  lanes_ = threads;
-  // The calling thread is one lane; the pool supplies the rest.
-  if (lanes_ > 1) pool_ = std::make_unique<ThreadPool>(lanes_ - 1);
-}
-
-FleetResult FleetEngine::run(
-    const std::vector<traffic::ResidenceConfig>& configs) {
-  return simulate_fleet(*catalog_, configs, pool_.get());
-}
-
-FleetResult FleetEngine::run(const SampledFleet& fleet) {
-  return simulate_fleet(*catalog_, fleet, pool_.get());
-}
-
-FleetResult FleetEngine::run(const FleetConfig& cfg, TimelinePlanMode mode) {
-  // Compatibility wrapper over the unified entry point, borrowing this
-  // engine's pool so repeated runs keep reusing one set of workers.
-  return std::move(*RunSpec(cfg).plan_mode(mode)
-                        .run_on(*catalog_, pool_.get(), lanes_)
-                        .result);
 }
 
 }  // namespace nbv6::engine

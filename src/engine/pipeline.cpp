@@ -175,76 +175,12 @@ void Pipeline::ensure_order() {
 }
 
 Pipeline::RunStats Pipeline::run(PassCache* cache, ThreadPool* pool) {
-  ensure_order();
-  bound_.clear();
-
-  RunStats stats;
-  stats.passes.reserve(order_.size());
-  // Per-resource digests for the digest cascade: a resource's digest is
-  // its producing pass's digest folded with the output's position.
-  std::unordered_map<std::string, std::uint64_t> resource_digest;
-
-  // A pass failure must not leave bound_ half-populated from this run —
-  // output_value would serve a mix of fresh upstream results and nothing
-  // downstream, indistinguishable from a completed run. Failure clears
-  // everything: no resource is bound until a run completes.
-  try {
-    for (std::size_t idx : order_) {
-      Node& node = nodes_[idx];
-      const Pass& pass = node.pass;
-
-      DigestBuilder db;
-      db.str(pass.name).u64(pass.config_digest);
-      for (const auto& in : pass.inputs) db.u64(resource_digest.at(in));
-      const std::uint64_t digest = db.value();
-      node.last_digest = digest;
-      for (std::size_t o = 0; o < pass.outputs.size(); ++o) {
-        resource_digest[pass.outputs[o]] =
-            DigestBuilder().u64(digest).u64(o).value();
-      }
-
-      std::optional<std::vector<PipelineValue>> hit;
-      if (cache != nullptr && pass.cache_outputs)
-        hit = cache->find(digest, pass.name, pass.outputs.size());
-      if (hit) {
-        for (std::size_t o = 0; o < pass.outputs.size(); ++o)
-          bound_[pass.outputs[o]] = std::move((*hit)[o]);
-        ++stats.cached;
-        stats.passes.push_back({pass.name, digest, true});
-        continue;
-      }
-
-      std::vector<PipelineValue*> inputs;
-      inputs.reserve(pass.inputs.size());
-      for (const auto& in : pass.inputs) inputs.push_back(&bound_.at(in));
-      std::vector<PipelineValue> outputs(pass.outputs.size());
-
-      PassContext ctx;
-      ctx.input_names_ = &pass.inputs;
-      ctx.inputs_ = &inputs;
-      ctx.output_names_ = &pass.outputs;
-      ctx.outputs_ = &outputs;
-      ctx.pool_ = pool;
-      pass.run(ctx);
-
-      for (std::size_t o = 0; o < outputs.size(); ++o) {
-        if (!outputs[o].has_value())
-          throw std::logic_error("pass '" + pass.name +
-                                 "' did not set declared output '" +
-                                 pass.outputs[o] + "'");
-        bound_[pass.outputs[o]] = outputs[o];
-      }
-      if (cache != nullptr && pass.cache_outputs)
-        cache->store(digest, pass.name, std::move(outputs));
-      ++node.executions;
-      ++stats.executed;
-      stats.passes.push_back({pass.name, digest, false});
-    }
-  } catch (...) {
-    bound_.clear();
-    throw;
-  }
-  return stats;
+  // The run-local cache holds only what bound_ holds anyway and dies with
+  // the call, so an uncached run still executes every pass.
+  PassCache local;
+  ForestScheduler::Options opts;
+  opts.pool = pool;
+  return ForestScheduler::run({this}, cache != nullptr ? *cache : local, opts);
 }
 
 const PipelineValue& Pipeline::output_value(std::string_view resource) const {
@@ -342,8 +278,8 @@ struct ForestRun {
       stats = stats_;
     }
     if (err) {
-      // Same no-partial-state rule as Pipeline::run — a failed forest
-      // leaves no pipeline serving a stale/fresh mix.
+      // No partial state: a failed forest leaves no pipeline serving a
+      // stale/fresh mix.
       for (Pipeline* p : pipes_) p->bound_.clear();
       std::rethrow_exception(err);
     }
@@ -378,7 +314,7 @@ struct ForestRun {
 
     for (Pipeline* p : pipes_) {
       // Digests are a pure function of the graph, so the whole cascade is
-      // computable up front, exactly as Pipeline::run does in order.
+      // computable up front, in topological order.
       std::unordered_map<std::string, std::uint64_t> resource_digest;
       std::unordered_map<std::size_t, std::size_t> forest_idx;  // node->forest
       for (std::size_t idx : p->order_) {

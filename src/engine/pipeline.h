@@ -183,7 +183,6 @@ class PassContext {
   void set_output(std::string_view name, PipelineValue v);
 
  private:
-  friend class Pipeline;
   friend struct detail::ForestRun;
   const std::vector<std::string>* input_names_ = nullptr;
   const std::vector<PipelineValue*>* inputs_ = nullptr;
@@ -226,19 +225,22 @@ class Pipeline {
   /// shared state; passes that capture config by value need replace().
   void set_config_digest(std::string_view pass, std::uint64_t digest);
 
-  struct PassRun {
-    std::string pass;
-    std::uint64_t digest = 0;
-    bool cached = false;
-  };
+  /// What a run did. ForestScheduler::run reports the same struct.
   struct RunStats {
-    std::size_t executed = 0;
-    std::size_t cached = 0;
-    std::vector<PassRun> passes;  ///< in schedule order
+    std::size_t executed = 0;   ///< passes actually run
+    std::size_t cached = 0;     ///< passes bound from the shared cache
+    std::size_t deduped = 0;    ///< passes bound from an in-flight twin
+    std::size_t released = 0;   ///< transient instances released
+    /// Peak number of transient resource instances live at once — the
+    /// residency figure sweep_scenarios reports (25 variants with release
+    /// hold ~1, without release all 25 planned fleets stay resident).
+    std::size_t peak_resident = 0;
   };
 
-  /// Execute every pass in topological order. With a cache, digest-matching
-  /// passes bind their cached outputs instead of running. Throws
+  /// Execute every pass in a topological order: ForestScheduler::run on
+  /// this one pipeline, inline on the caller. With a cache, digest-matching
+  /// passes bind their cached outputs instead of running; without one, a
+  /// run-local cache stands in, so every pass executes. Throws
   /// std::invalid_argument on an input no pass produces and on dependency
   /// cycles. `pool` is handed to pass contexts; it never affects results.
   /// If a pass throws, the exception propagates and the bound state is
@@ -258,14 +260,15 @@ class Pipeline {
   /// Lifetime count of actual executions (cache hits excluded) of `pass`.
   [[nodiscard]] std::uint64_t executions(std::string_view pass) const;
 
-  /// Pass names in the schedule order the last run used (or the order the
-  /// next run will use, computed on demand).
+  /// Pass names in a topological order of the graph (registration order
+  /// among independent passes). A run promises only some topological
+  /// order — the scheduler's ready queue is LIFO — so this is not a record
+  /// of the order the last run executed.
   [[nodiscard]] std::vector<std::string> schedule();
 
   [[nodiscard]] std::size_t pass_count() const { return nodes_.size(); }
 
  private:
-  friend class ForestScheduler;
   friend struct detail::ForestRun;
 
   struct Node {
@@ -318,8 +321,8 @@ class Pipeline {
 /// intra-pass parallel_for.
 ///
 /// On a pass failure the first exception is rethrown after all in-flight
-/// tasks drain, and every pipeline's bound state is cleared (the same
-/// no-partial-state rule as Pipeline::run).
+/// tasks drain, and every pipeline's bound state is cleared: no pipeline
+/// serves a mix of stale and fresh resources.
 class ForestScheduler {
  public:
   struct Options {
@@ -337,16 +340,7 @@ class ForestScheduler {
     /// producer still needs, breaking forest-wide dedup).
     std::vector<std::string> transient;
   };
-  struct Stats {
-    std::size_t executed = 0;   ///< passes actually run
-    std::size_t cached = 0;     ///< passes bound from the shared cache
-    std::size_t deduped = 0;    ///< passes bound from an in-flight twin
-    std::size_t released = 0;   ///< transient instances released
-    /// Peak number of transient resource instances live at once — the
-    /// residency figure the sweep driver reports (25 variants with release
-    /// hold ~1, without release all 25 planned fleets stay resident).
-    std::size_t peak_resident = 0;
-  };
+  using Stats = Pipeline::RunStats;
 
   /// Run every pipeline in `pipelines` to completion. Pipelines must be
   /// distinct objects; results (bound resources, execution counters) land

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "engine/run_spec.h"
 #include "engine/timeline.h"
 #include "stats/rng.h"
 #include "traffic/residence.h"
@@ -337,8 +338,8 @@ std::optional<std::string> check_parse_round_trip(std::string_view text) {
 
 std::optional<std::string> check_plan_parity(
     const FleetConfig& cfg, const traffic::ServiceCatalog& catalog) {
-  SampledFleet lazy = sample_fleet_detailed(cfg, catalog);
-  SampledFleet mat = sample_fleet_detailed(cfg, catalog);
+  SampledFleet lazy = sample_stage(cfg, catalog);
+  SampledFleet mat = sample_stage(cfg, catalog);
   apply_timeline(lazy, cfg.timeline, cfg.seed, cfg.days,
                  TimelinePlanMode::lazy);
   apply_timeline(mat, cfg.timeline, cfg.seed, cfg.days,

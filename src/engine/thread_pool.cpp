@@ -6,11 +6,13 @@
 
 namespace nbv6::engine {
 
+int resolve_lanes(int threads) {
+  if (threads > 0) return threads;
+  return std::max(static_cast<int>(std::thread::hardware_concurrency()), 1);
+}
+
 ThreadPool::ThreadPool(int threads) {
-  if (threads <= 0) {
-    threads = static_cast<int>(std::thread::hardware_concurrency());
-    threads = std::max(threads, 1);
-  }
+  threads = resolve_lanes(threads);
   workers_.reserve(static_cast<std::size_t>(threads));
   for (int i = 0; i < threads; ++i)
     workers_.emplace_back([this] { worker_loop(); });

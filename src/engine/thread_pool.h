@@ -21,9 +21,14 @@
 
 namespace nbv6::engine {
 
+/// Lanes for a lane-count knob (FleetConfig::threads, the bench binaries'
+/// --threads): `threads` <= 0 selects std::thread::hardware_concurrency()
+/// (min 1), anything else is taken as given.
+int resolve_lanes(int threads);
+
 class ThreadPool {
  public:
-  /// `threads` <= 0 selects std::thread::hardware_concurrency() (min 1).
+  /// resolve_lanes(threads) workers.
   explicit ThreadPool(int threads = 0);
   ~ThreadPool();
 

@@ -268,7 +268,7 @@ namespace {
 /// Per-(event, residence) decision stream: whether the residence is
 /// affected and on which day inside the window its change lands. The
 /// derivation folds (seed, event ordinal, index) through splitmix64 — the
-/// same pattern sample_fleet_detailed uses per residence — so the result
+/// same pattern sample_stage uses per residence — so the result
 /// is independent of evaluation order and population size.
 struct EventDraw {
   bool affected = false;

@@ -490,7 +490,7 @@ SimulationStats ResidenceSimulator::run(Table& table) {
   return stats_;
 }
 
-// The conntrack sinks the library ships plus the firehose capture buffer.
+// The conntrack sinks the library ships plus the streaming capture buffer.
 // New table types only need an explicit instantiation here.
 template SimulationStats ResidenceSimulator::run(flowmon::ConntrackTable&);
 template SimulationStats ResidenceSimulator::run(engine::FlatConntrack&);

@@ -88,16 +88,17 @@ class ResidenceSimulator {
   /// Run the full configured period, feeding `table`. Callers typically
   /// attach a FlowMonitor to the table first. `Table` is any conntrack-
   /// shaped sink (open/account/close/flush); instantiated in generator.cpp
-  /// for flowmon::ConntrackTable, engine::FlatConntrack and the firehose's
-  /// engine::FlowEventBuffer, so fleet shards drive the flat hot-path table
-  /// with the exact same generator code. If the table additionally exposes
-  /// `advance(int day, int tick)`, the generator calls it at the start of
-  /// every time slot (hour in batch mode, tick otherwise) — how the
-  /// firehose attributes flows to ticks without widening the sink API.
+  /// for flowmon::ConntrackTable, engine::FlatConntrack and the streaming
+  /// path's engine::FlowEventBuffer, so fleet shards drive the flat
+  /// hot-path table with the exact same generator code. If the table
+  /// additionally exposes `advance(int day, int tick)`, the generator calls
+  /// it at the start of every time slot (hour in batch mode, tick
+  /// otherwise) — how the streaming path attributes flows to ticks without
+  /// widening the sink API.
   template <typename Table>
   SimulationStats run(Table& table);
 
-  /// Stepped interface for day-granular drivers (engine::Firehose):
+  /// Stepped interface for day-granular callers (engine::stream_fleet):
   /// begin_run() resets the run's statistics, then run_day() simulates one
   /// day — run(table) is exactly begin_run + run_day for every day + flush.
   void begin_run();

@@ -118,7 +118,7 @@ struct ResidenceConfig {
 
   /// How sessions land inside a day: the original per-hour batch (default)
   /// or an open-loop tick-sliced arrival process. Copied from the
-  /// scenario's FleetConfig::arrival by sample_fleet.
+  /// scenario's FleetConfig::arrival by engine::sample_stage.
   ArrivalConfig arrival;
 
   std::uint64_t seed = 1;

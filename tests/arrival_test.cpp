@@ -1,13 +1,14 @@
 // Open-loop arrival engine: determinism, distributional correctness, and
-// firehose emission invariants.
+// the streaming path's (stream_fleet) emission invariants.
 //
 // The contract under test is the one the golden suite pins indirectly:
 // every arrival draw is a pure function of (seed, residence index, day,
 // tick), batch mode is bit-identical to the pre-open-loop generator, and
-// the firehose's canonical tick-major emission order is independent of
+// stream_fleet's canonical tick-major emission order is independent of
 // lane count.
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -16,6 +17,8 @@
 
 #include "engine/firehose.h"
 #include "engine/fleet.h"
+#include "engine/run_spec.h"
+#include "engine/thread_pool.h"
 #include "stats/rng.h"
 #include "testutil.h"
 #include "traffic/arrival.h"
@@ -164,25 +167,34 @@ TEST(ArrivalEngine, OpenLoopRunsAreLaneInvariant) {
   }
 }
 
-// One firehose run reduced to comparable facts: flow count, an
+/// stream_fleet over the sampled, planned fleet of `cfg` on `lanes` lanes.
+engine::StreamStats stream_scenario(const engine::FleetConfig& cfg, int lanes,
+                                    const engine::RunSpec::FlowSink& sink) {
+  auto catalog = traffic::build_paper_catalog();
+  const engine::SampledFleet fleet = testutil::plan_scenario(cfg, catalog);
+  std::unique_ptr<engine::ThreadPool> pool;  // + the calling thread
+  if (lanes > 1) pool = std::make_unique<engine::ThreadPool>(lanes - 1);
+  return engine::stream_fleet(catalog, fleet, cfg.days, cfg.arrival,
+                              pool.get(), sink);
+}
+
+// One streamed run reduced to comparable facts: flow count, an
 // order-sensitive checksum over every emitted field, and a flag that the
 // canonical (day, tick, residence) emission order was non-decreasing.
-struct FirehoseDigest {
+struct StreamDigest {
   std::uint64_t flows = 0;
   std::uint64_t fnv = 1469598103934665603ull;
   bool ordered = true;
   std::uint64_t sessions = 0;
 };
 
-FirehoseDigest digest_run(const engine::FleetConfig& cfg, int threads) {
-  auto catalog = traffic::build_paper_catalog();
-  engine::Firehose hose(catalog, threads);
-  FirehoseDigest d;
+StreamDigest digest_run(const engine::FleetConfig& cfg, int lanes) {
+  StreamDigest d;
   std::tuple<int, int, std::uint32_t> prev{-1, -1, 0};
   auto mix = [&d](std::uint64_t v) {
     d.fnv = (d.fnv ^ v) * 1099511628211ull;
   };
-  auto result = hose.run(cfg, [&](const engine::FlowEvent& ev) {
+  auto result = stream_scenario(cfg, lanes, [&](const engine::FlowEvent& ev) {
     ++d.flows;
     std::tuple<int, int, std::uint32_t> cur{ev.day, ev.tick, ev.residence};
     if (cur < prev) d.ordered = false;
@@ -208,7 +220,7 @@ FirehoseDigest digest_run(const engine::FleetConfig& cfg, int threads) {
   return d;
 }
 
-TEST(Firehose, EmissionIsCanonicalAndLaneInvariant) {
+TEST(StreamFleet, EmissionIsCanonicalAndLaneInvariant) {
   engine::FleetConfig cfg;
   cfg.residences = 10;
   cfg.days = 4;
@@ -216,12 +228,12 @@ TEST(Firehose, EmissionIsCanonicalAndLaneInvariant) {
   cfg.arrival->mode = ArrivalMode::poisson;
   cfg.arrival->ticks_per_hour = 6;
 
-  const FirehoseDigest base = digest_run(cfg, 1);
+  const StreamDigest base = digest_run(cfg, 1);
   EXPECT_GT(base.flows, 0u);
   EXPECT_TRUE(base.ordered);
-  for (int threads : {4, 8}) {
-    SCOPED_TRACE(threads);
-    const FirehoseDigest other = digest_run(cfg, threads);
+  for (int lanes : {2, 4, 8}) {
+    SCOPED_TRACE(lanes);
+    const StreamDigest other = digest_run(cfg, lanes);
     EXPECT_TRUE(other.ordered);
     EXPECT_EQ(other.flows, base.flows);
     EXPECT_EQ(other.fnv, base.fnv);
@@ -229,24 +241,24 @@ TEST(Firehose, EmissionIsCanonicalAndLaneInvariant) {
   }
 }
 
-TEST(Firehose, BatchModeStreamsTheSameFleetTotalsAsTheEngine) {
-  // The firehose in batch mode replays the exact per-hour generator, so
-  // its stats must agree with a FleetEngine run of the same config.
+TEST(StreamFleet, BatchModeStreamsTheSameFleetTotalsAsSimulateFleet) {
+  // Streaming in batch mode replays the exact per-hour generator, so its
+  // stats must agree with simulate_fleet on the same planned fleet.
   engine::FleetConfig cfg;
   cfg.residences = 8;
   cfg.days = 5;
   cfg.seed = 31;
 
   auto catalog = traffic::build_paper_catalog();
-  engine::FleetEngine ref(catalog, 2);
-  const auto expected = ref.run(cfg);
+  engine::ThreadPool pool(1);  // + the calling thread = 2 lanes
+  const auto expected = testutil::simulate_scenario(cfg, catalog, &pool);
 
-  const FirehoseDigest d = digest_run(cfg, 2);
+  const StreamDigest d = digest_run(cfg, 2);
   EXPECT_EQ(d.sessions, expected.totals.sessions);
   EXPECT_EQ(d.flows, expected.totals.flows);
 }
 
-TEST(Firehose, FlashCrowdConcentratesEmissionInItsHours) {
+TEST(StreamFleet, FlashCrowdConcentratesEmissionInItsHours) {
   // Identical configs, with and without a flash crowd in hours 20-21:
   // the crowd's hour slots must carry several times more arrivals while
   // the rest of the day stays on the base schedule.
@@ -266,10 +278,8 @@ TEST(Firehose, FlashCrowdConcentratesEmissionInItsHours) {
   }
 
   auto hour_counts = [](const engine::FleetConfig& c) {
-    auto catalog = traffic::build_paper_catalog();
-    engine::Firehose hose(catalog, 2);
     std::vector<std::uint64_t> hours(24, 0);
-    hose.run(c, [&](const engine::FlowEvent& ev) {
+    stream_scenario(c, 2, [&](const engine::FlowEvent& ev) {
       ++hours[static_cast<size_t>(ev.tick) / 4 % 24];
     });
     return hours;

@@ -1,8 +1,8 @@
 // The shared experiment-harness flag grammar (bench/bench_cli.h): one
-// parser, one --help, and the deprecated env-var fallback path.
+// parser, one --help.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -105,39 +105,6 @@ TEST(BenchCli, PositionalsConsumeInOrder) {
   cli2.positional("second", &second, "");
   EXPECT_FALSE(cli2.parse(b.argc(), b.argv()));  // third has no slot
   EXPECT_EQ(cli2.exit_code(), 2);
-}
-
-TEST(BenchCli, DeprecatedEnvAppliesWhenFlagAbsent) {
-  ::setenv("NBV6_TEST_CLI_N", "77", 1);
-  int n = 1;
-  Cli cli("t", "test");
-  cli.flag_int("n", &n, "", "NBV6_TEST_CLI_N");
-  Argv a({});
-  ASSERT_TRUE(cli.parse(a.argc(), a.argv()));
-  EXPECT_EQ(n, 77);
-  ::unsetenv("NBV6_TEST_CLI_N");
-}
-
-TEST(BenchCli, FlagBeatsDeprecatedEnv) {
-  ::setenv("NBV6_TEST_CLI_N", "77", 1);
-  int n = 1;
-  Cli cli("t", "test");
-  cli.flag_int("n", &n, "", "NBV6_TEST_CLI_N");
-  Argv a({"--n=5"});
-  ASSERT_TRUE(cli.parse(a.argc(), a.argv()));
-  EXPECT_EQ(n, 5);
-  ::unsetenv("NBV6_TEST_CLI_N");
-}
-
-TEST(BenchCli, MalformedEnvValueFails) {
-  ::setenv("NBV6_TEST_CLI_N", "banana", 1);
-  int n = 1;
-  Cli cli("t", "test");
-  cli.flag_int("n", &n, "", "NBV6_TEST_CLI_N");
-  Argv a({});
-  EXPECT_FALSE(cli.parse(a.argc(), a.argv()));
-  EXPECT_EQ(cli.exit_code(), 2);
-  ::unsetenv("NBV6_TEST_CLI_N");
 }
 
 }  // namespace

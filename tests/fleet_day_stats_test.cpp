@@ -8,11 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <optional>
 #include <vector>
 
 #include "core/fleet_analysis.h"
 #include "engine/fleet.h"
+#include "engine/thread_pool.h"
 #include "testutil.h"
 #include "traffic/service_catalog.h"
 
@@ -30,8 +32,8 @@ class Nat64ScenarioTest : public ::testing::Test {
                                          "/nat64_migration.cfg");
     ASSERT_TRUE(cfg.has_value());
     cfg_ = *cfg;
-    engine::FleetEngine engine(catalog, 2);
-    result_ = engine.run(cfg_);
+    engine::ThreadPool pool(1);  // + the calling thread = 2 lanes
+    result_ = testutil::simulate_scenario(cfg_, catalog, &pool);
   }
   static void TearDownTestSuite() { result_.reset(); }
 
@@ -169,8 +171,9 @@ TEST(FleetDayStats, PerDayMergeBitIdenticalAcrossLanes) {
 
   std::optional<engine::FleetResult> reference;
   for (int lanes : {1, 4, 8}) {
-    engine::FleetEngine engine(catalog, lanes);
-    auto result = engine.run(cfg);
+    std::unique_ptr<engine::ThreadPool> pool;  // + the calling thread
+    if (lanes > 1) pool = std::make_unique<engine::ThreadPool>(lanes - 1);
+    auto result = testutil::simulate_scenario(cfg, catalog, pool.get());
     if (!reference.has_value()) {
       reference = std::move(result);
       continue;
@@ -197,8 +200,8 @@ TEST(FleetDayStats, OutageDaysCarrySuppressedSessions) {
   cfg.timeline->events.push_back(
       *engine::Timeline::parse_event("outage", "start=4 end=6 frac=1.0"));
 
-  engine::FleetEngine engine(catalog, 2);
-  auto result = engine.run(cfg);
+  engine::ThreadPool pool(1);  // + the calling thread = 2 lanes
+  auto result = testutil::simulate_scenario(cfg, catalog, &pool);
   ASSERT_EQ(result.totals.daily.size(), 10u);
   for (int d = 0; d < 10; ++d) {
     const auto& ds = result.totals.daily[static_cast<size_t>(d)];

@@ -10,14 +10,18 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
 #include "core/fleet_analysis.h"
 #include "engine/fleet.h"
+#include "engine/run_spec.h"
+#include "engine/thread_pool.h"
 #include "stats/descriptive.h"
 #include "stats/fleet_stats.h"
 #include "stats/rng.h"
+#include "testutil.h"
 #include "traffic/service_catalog.h"
 
 namespace nbv6 {
@@ -451,13 +455,14 @@ TEST(FleetStatsReport, BitIdenticalAcrossOneFourAndEightLanes) {
   cfg.residences = 48;
   cfg.days = 2;
   cfg.seed = 20260726;
-  auto sampled = engine::sample_fleet_detailed(cfg, catalog);
+  auto sampled = engine::sample_stage(cfg, catalog);
 
   std::vector<core::FleetStatsReport> reports;
   for (int lanes : {1, 4, 8}) {
-    engine::FleetEngine engine(catalog, lanes);
-    auto result = engine.run(sampled);
-    reports.push_back(core::fleet_stats_report(result, engine.pool()));
+    std::unique_ptr<engine::ThreadPool> pool;  // + the calling thread
+    if (lanes > 1) pool = std::make_unique<engine::ThreadPool>(lanes - 1);
+    auto result = engine::simulate_fleet(catalog, sampled, pool.get());
+    reports.push_back(core::fleet_stats_report(result, pool.get()));
   }
 
   const auto& ref = reports[0];
@@ -511,11 +516,11 @@ TEST(FleetStatsReport, PanelsSeparateKnownStrata) {
   cfg.seed = 7;
   cfg.dual_stack_isp_frac = 0.7;
   cfg.broken_v6_frac = 0.3;
-  engine::FleetEngine engine(catalog, 4);
-  auto result = engine.run(cfg);
+  engine::ThreadPool pool(3);  // + the calling thread = 4 lanes
+  auto result = testutil::simulate_scenario(cfg, catalog, &pool);
   ASSERT_EQ(result.traits.size(), 96u);
 
-  auto report = core::fleet_stats_report(result, engine.pool());
+  auto report = core::fleet_stats_report(result, &pool);
   bool found = false;
   for (const auto& cmp : report.comparisons) {
     if (cmp.group_a != core::FleetGroup::dual_stack ||
@@ -539,18 +544,18 @@ TEST(FleetStatsReport, MisalignedTraitsRejected) {
   engine::FleetConfig cfg;
   cfg.residences = 4;
   cfg.days = 1;
-  auto sampled = engine::sample_fleet_detailed(cfg, catalog);
-  engine::FleetEngine engine(catalog, 1);
+  auto sampled = engine::sample_stage(cfg, catalog);
 
   // A hand-built SampledFleet with mismatched sizes fails up front...
   engine::SampledFleet bad;
   bad.configs = sampled.configs;
   bad.traits.assign(8, engine::ResidenceTraits{});
-  EXPECT_THROW(engine.run(bad), std::invalid_argument);
+  EXPECT_THROW(engine::simulate_fleet(catalog, bad, nullptr),
+               std::invalid_argument);
 
   // ...and a result without traits (raw config run) cannot feed the
   // group-comparison report.
-  auto traitless = engine.run(sampled.configs);
+  auto traitless = engine::simulate_fleet(catalog, sampled.configs, nullptr);
   EXPECT_THROW(core::fleet_stats_report(traitless, nullptr),
                std::invalid_argument);
 }
@@ -560,11 +565,11 @@ TEST(ExtractMetrics, PoolAndSequentialAgree) {
   engine::FleetConfig cfg;
   cfg.residences = 12;
   cfg.days = 2;
-  engine::FleetEngine engine(catalog, 4);
-  auto result = engine.run(cfg);
+  engine::ThreadPool pool(3);  // + the calling thread = 4 lanes
+  auto result = testutil::simulate_scenario(cfg, catalog, &pool);
 
   auto metrics = core::default_fleet_metrics();
-  auto par = core::extract_metrics(result, metrics, engine.pool());
+  auto par = core::extract_metrics(result, metrics, &pool);
   auto seq = core::extract_metrics(result, metrics, nullptr);
   ASSERT_EQ(par.values.size(), seq.values.size());
   for (size_t m = 0; m < par.values.size(); ++m)
@@ -582,7 +587,7 @@ TEST(GroupMembers, PartitionsAndComplements) {
   engine::FleetConfig cfg;
   cfg.residences = 200;
   cfg.days = 1;
-  auto sampled = engine::sample_fleet_detailed(cfg, catalog);
+  auto sampled = engine::sample_stage(cfg, catalog);
   ASSERT_EQ(sampled.traits.size(), 200u);
 
   auto all = core::group_members(sampled.traits, core::FleetGroup::all);

@@ -1,7 +1,7 @@
 // ForestScheduler: overlapped cross-variant pass scheduling over one shared
-// PassCache — byte-identical to the serial per-pipeline loop at any worker
-// count, with in-flight dedup and transient resource release asserted via
-// execution counters and shared_ptr use counts.
+// PassCache — byte-identical to the stage functions called in sequence at
+// any worker count, with in-flight dedup and transient resource release
+// asserted via execution counters and shared_ptr use counts.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -315,27 +315,21 @@ std::string serialize_pipe(const engine::FleetConfig& cfg, Pipeline& pipe) {
 }
 
 // The determinism pin: a 25-variant what-if forest run overlapped at 1, 2,
-// and 8 workers produces byte-identical per-variant outputs to the plain
-// serial pipeline loop, samples the base population exactly once (asserted
-// via execution counters — in-flight dedup, since every sample twin is
-// seed-ready before any executes), and releases every transient fleet.
+// and 8 workers produces byte-identical per-variant outputs to the stage
+// functions called in sequence (testutil::run_scenario — not Pipeline::run,
+// which is this same scheduler on one pipeline), samples the base
+// population exactly once (asserted via execution counters — in-flight
+// dedup, since every sample twin is seed-ready before any executes), and
+// releases every transient fleet.
 TEST(ForestScheduler, TwentyFiveVariantForestMatchesSerialByteForByte) {
   const auto catalog = traffic::build_paper_catalog();
   const int variants = 25;
   const auto cfgs = variant_configs(variants);
 
-  // Serial reference: one pipeline per variant, shared cache, run in order.
   std::vector<std::string> expected;
-  {
-    PassCache cache;
-    std::vector<std::unique_ptr<Pipeline>> pipes;
-    for (int v = 0; v < variants; ++v) {
-      pipes.push_back(std::make_unique<Pipeline>(
-          core::make_scenario_pipeline(cfgs[v], catalog)));
-      pipes.back()->run(&cache);
-      expected.push_back(serialize_pipe(cfgs[v], *pipes.back()));
-    }
-  }
+  for (const auto& cfg : cfgs)
+    expected.push_back(
+        testutil::canonical_serialize(testutil::run_scenario(cfg, catalog, 1)));
 
   for (int workers : {1, 2, 8}) {
     std::unique_ptr<engine::ThreadPool> pool;
@@ -382,9 +376,9 @@ TEST(ForestScheduler, TwentyFiveVariantForestMatchesSerialByteForByte) {
 }
 
 // The warm-cache path on the real scenario chain, transients enabled:
-// results must land exactly as if each pipeline had run alone against the
-// same warm cache (the header's equivalence promise), and the transient
-// entries leave the cache just as in the cold forest run. Regression for
+// results bound from a warm cache must equal the scheduler-independent
+// oracle (testutil::run_scenario), and the transient entries leave the
+// cache just as in the cold forest run. Regression for
 // the seed-time double-on_ready bug, which only a pre-warmed cache hits.
 TEST(ForestScheduler, ScenarioForestAgainstWarmCacheMatchesSerial) {
   const auto catalog = traffic::build_paper_catalog();
@@ -392,10 +386,11 @@ TEST(ForestScheduler, ScenarioForestAgainstWarmCacheMatchesSerial) {
 
   PassCache cache;
   std::vector<std::string> expected;
-  for (const auto& cfg : cfgs) {  // serial warm-up, also the reference
-    Pipeline pipe = core::make_scenario_pipeline(cfg, catalog);
-    pipe.run(&cache);
-    expected.push_back(serialize_pipe(cfg, pipe));
+  for (const auto& cfg : cfgs) {
+    Pipeline warm_up = core::make_scenario_pipeline(cfg, catalog);
+    warm_up.run(&cache);
+    expected.push_back(
+        testutil::canonical_serialize(testutil::run_scenario(cfg, catalog, 1)));
   }
 
   std::vector<std::unique_ptr<Pipeline>> pipes;

@@ -1,6 +1,7 @@
 // Pass-graph pipeline runtime: scheduling, caching, dirty-node sweeps, and
 // the golden-parity guarantee that the pipelined scenario chain is
-// byte-identical to the standalone FleetEngine::run path at any lane count.
+// byte-identical to the stage functions called in sequence
+// (testutil::run_scenario) at any lane count.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -193,9 +194,9 @@ TEST(Pipeline, ForcedDigestCollisionTreatedAsMiss) {
   int runs = 0;
   Pipeline pipe;
   pipe.add(make_pass("wide", {}, {"x", "y"}, &runs));
-  const auto discovery = pipe.run();  // no cache: learn the digest
-  ASSERT_EQ(discovery.passes.size(), 1u);
-  const std::uint64_t digest = discovery.passes[0].digest;
+  // A source pass's digest: its name and config digest (0), no inputs.
+  const std::uint64_t digest =
+      engine::DigestBuilder().str("wide").u64(0).value();
 
   PassCache cache;
   cache.store(digest, "impostor",
@@ -203,7 +204,11 @@ TEST(Pipeline, ForcedDigestCollisionTreatedAsMiss) {
   const auto stats = pipe.run(&cache);
   EXPECT_EQ(stats.executed, 1u);
   EXPECT_EQ(stats.cached, 0u);
-  EXPECT_EQ(runs, 2);
+  EXPECT_EQ(runs, 1);
+  // The pass stored its outputs over the impostor, under the same key: the
+  // collision above was a real one, not a near miss.
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_TRUE(cache.find(digest, "wide", 2).has_value());
   EXPECT_EQ(pipe.output<int>("x"), 1);
   EXPECT_EQ(pipe.output<int>("y"), 1);
 }
@@ -353,8 +358,8 @@ TEST(ScenarioPipeline, WhatIfForestSamplesBaseExactlyOnce) {
 
 // -------------------------------------------------------- golden parity
 
-// The pipelined scenario chain must be byte-identical to the standalone
-// FleetEngine::run path for every committed scenario, at 1, 4, and 8
+// The pipelined scenario chain must be byte-identical to the stage
+// functions called in sequence for every committed scenario, at 1, 4, and 8
 // lanes, with cross-lane cache reuse in play (a cached pass result from a
 // 1-lane run binds into an 8-lane pipeline).
 TEST(ScenarioPipeline, PipelinedRunsMatchStandaloneByteForByte) {

@@ -8,9 +8,12 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <sstream>
 
+#include "engine/run_spec.h"
 #include "engine/scenario_fuzz.h"
+#include "engine/thread_pool.h"
 
 namespace nbv6::testutil {
 
@@ -101,14 +104,34 @@ std::string scenario_stem(const std::string& path) {
   return std::filesystem::path(path).stem().string();
 }
 
+engine::SampledFleet plan_scenario(const engine::FleetConfig& cfg,
+                                   const traffic::ServiceCatalog& catalog,
+                                   engine::TimelinePlanMode mode) {
+  engine::SampledFleet fleet = engine::sample_stage(cfg, catalog);
+  engine::apply_timeline(fleet, cfg.timeline, cfg.seed, cfg.days, mode);
+  return fleet;
+}
+
+engine::FleetResult simulate_scenario(const engine::FleetConfig& cfg,
+                                      const traffic::ServiceCatalog& catalog,
+                                      engine::ThreadPool* pool,
+                                      engine::TimelinePlanMode mode) {
+  return engine::simulate_fleet(catalog, plan_scenario(cfg, catalog, mode),
+                                pool);
+}
+
 ScenarioRun run_scenario(const engine::FleetConfig& cfg,
                          const traffic::ServiceCatalog& catalog, int lanes,
                          engine::TimelinePlanMode mode) {
+  // The calling thread is one lane; the pool supplies the rest.
+  const int n = engine::resolve_lanes(lanes);
+  std::unique_ptr<engine::ThreadPool> pool;
+  if (n > 1) pool = std::make_unique<engine::ThreadPool>(n - 1);
+
   ScenarioRun run;
   run.cfg = cfg;
-  engine::FleetEngine engine(catalog, lanes);
-  run.result = engine.run(cfg, mode);  // sample + timeline + simulate
-  run.report = core::fleet_stats_report(run.result, engine.pool());
+  run.result = simulate_scenario(cfg, catalog, pool.get(), mode);
+  run.report = core::fleet_stats_report(run.result, pool.get());
   // Pre/post panel over the horizon's halves: with timeline events this is
   // the before/after comparison; without, a self-check near the null.
   core::DayWindow pre{0, cfg.days / 2 - 1};
@@ -116,7 +139,7 @@ ScenarioRun run_scenario(const engine::FleetConfig& cfg,
   auto metrics = core::default_fleet_metrics();
   run.window_panel =
       core::compare_windows(run.result, metrics, pre, post,
-                            core::FleetGroup::all, engine.pool());
+                            core::FleetGroup::all, pool.get());
   return run;
 }
 

@@ -16,6 +16,8 @@
 
 #include "core/fleet_analysis.h"
 #include "engine/fleet.h"
+#include "engine/thread_pool.h"
+#include "engine/timeline.h"
 #include "traffic/service_catalog.h"
 
 namespace nbv6::testutil {
@@ -48,10 +50,26 @@ struct ScenarioRun {
   core::GroupComparison window_panel;
 };
 
-/// `mode` selects how the timeline reaches the simulator: lazy per-day
-/// evaluation (the engine default) or up-front materialized plans. The two
-/// must serialize byte-identically — the parity the golden-replay suite
-/// pins.
+/// The sampled, timeline-planned population of `cfg`: sample_stage, then
+/// apply_timeline — the input of simulate_fleet and stream_fleet.
+engine::SampledFleet plan_scenario(
+    const engine::FleetConfig& cfg, const traffic::ServiceCatalog& catalog,
+    engine::TimelinePlanMode mode = engine::TimelinePlanMode::lazy);
+
+/// plan_scenario, then simulate_fleet on `pool` (nullptr = sequential).
+engine::FleetResult simulate_scenario(
+    const engine::FleetConfig& cfg, const traffic::ServiceCatalog& catalog,
+    engine::ThreadPool* pool,
+    engine::TimelinePlanMode mode = engine::TimelinePlanMode::lazy);
+
+/// Calls the stage functions in sequence (sample_stage → apply_timeline →
+/// simulate_fleet → fleet_stats_report → compare_windows) on a local pool
+/// of `lanes` lanes, without the pass graph. That makes it an oracle
+/// independent of the scheduler: the pipeline and forest byte-diff tests
+/// take their expected text from here. `mode` selects how the timeline
+/// reaches the simulator: lazy per-day evaluation (the default) or
+/// up-front materialized plans. The two must serialize byte-identically —
+/// the parity the golden-replay suite pins.
 ScenarioRun run_scenario(
     const engine::FleetConfig& cfg, const traffic::ServiceCatalog& catalog,
     int lanes,

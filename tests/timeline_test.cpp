@@ -10,6 +10,8 @@
 
 #include "core/fleet_analysis.h"
 #include "engine/fleet.h"
+#include "engine/run_spec.h"
+#include "engine/thread_pool.h"
 #include "engine/timeline.h"
 #include "testutil.h"
 #include "traffic/service_catalog.h"
@@ -167,7 +169,7 @@ TEST(TimelineDayStateTest, PureFunctionOfSeedIndexDay) {
 
 TEST(TimelineApply, PrefixStableUnderPopulationGrowth) {
   // Residence i's day plans must not depend on the population size —
-  // the same stability sample_fleet guarantees for static configs.
+  // the same stability sample_stage guarantees for static configs.
   auto catalog = traffic::build_paper_catalog();
   FleetConfig cfg;
   cfg.residences = 12;
@@ -178,17 +180,17 @@ TEST(TimelineApply, PrefixStableUnderPopulationGrowth) {
   cfg.timeline->events.push_back(
       *Timeline::parse_event("outage", "start=8 end=10 frac=0.4"));
 
-  auto small = sample_fleet_detailed(cfg, catalog);
+  auto small = sample_stage(cfg, catalog);
   apply_timeline(small, cfg.timeline, cfg.seed, cfg.days,
                  TimelinePlanMode::materialized);
 
   cfg.residences = 40;
-  auto big = sample_fleet_detailed(cfg, catalog);
+  auto big = sample_stage(cfg, catalog);
   apply_timeline(big, cfg.timeline, cfg.seed, cfg.days,
                  TimelinePlanMode::materialized);
   // And the lazy providers for the grown population must agree day by day
   // with the small population's materialized plans.
-  auto big_lazy = sample_fleet_detailed(cfg, catalog);
+  auto big_lazy = sample_stage(cfg, catalog);
   apply_timeline(big_lazy, cfg.timeline, cfg.seed, cfg.days);
 
   for (size_t i = 0; i < small.configs.size(); ++i) {
@@ -213,10 +215,10 @@ TEST(TimelineApply, LazyMatchesMaterializedOnAllScenarios) {
     auto cfg = FleetConfig::load(file);
     ASSERT_TRUE(cfg.has_value());
 
-    auto lazy = sample_fleet_detailed(*cfg, catalog);
+    auto lazy = sample_stage(*cfg, catalog);
     apply_timeline(lazy, cfg->timeline, cfg->seed, cfg->days,
                    TimelinePlanMode::lazy);
-    auto mat = sample_fleet_detailed(*cfg, catalog);
+    auto mat = sample_stage(*cfg, catalog);
     apply_timeline(mat, cfg->timeline, cfg->seed, cfg->days,
                    TimelinePlanMode::materialized);
 
@@ -274,7 +276,7 @@ TEST(TimelineApply, LazyFallsBackToStaticOutsideTheHorizon) {
   cfg.timeline->events.push_back(
       *Timeline::parse_event("seasonal", "amp=0.5 period=7"));
 
-  auto fleet = sample_fleet_detailed(cfg, catalog);
+  auto fleet = sample_stage(cfg, catalog);
   apply_timeline(fleet, cfg.timeline, cfg.seed, cfg.days);
   for (const auto& c : fleet.configs) {
     ASSERT_TRUE(c.day_plan_fn);
@@ -290,7 +292,7 @@ TEST(TimelineApply, EmptyTimelineLeavesPlansEmpty) {
   FleetConfig cfg;
   cfg.residences = 4;
   cfg.days = 10;
-  auto fleet = sample_fleet_detailed(cfg, catalog);
+  auto fleet = sample_stage(cfg, catalog);
   apply_timeline(fleet, Timeline{}, cfg.seed, cfg.days);
   for (const auto& c : fleet.configs) {
     EXPECT_TRUE(c.day_plan.empty());
@@ -311,8 +313,8 @@ TEST(TimelineBehaviour, RolloutWaveRaisesPostWindowV6) {
   cfg.timeline->events.push_back(
       *Timeline::parse_event("rollout_wave", "start=10 end=10 frac=1.0"));
 
-  FleetEngine engine(catalog, 2);
-  auto result = engine.run(cfg);
+  ThreadPool pool(1);  // + the calling thread = 2 lanes
+  auto result = testutil::simulate_scenario(cfg, catalog, &pool);
 
   auto metrics = std::vector<core::FleetMetric>{
       core::FleetMetric::v6_byte_fraction};
@@ -350,8 +352,8 @@ TEST(TimelineBehaviour, OutageSilencesExternalTrafficOnly) {
   cfg.timeline->events.push_back(
       *Timeline::parse_event("outage", "start=3 end=5 frac=1.0"));
 
-  FleetEngine engine(catalog, 2);
-  auto result = engine.run(cfg);
+  ThreadPool pool(1);  // + the calling thread = 2 lanes
+  auto result = testutil::simulate_scenario(cfg, catalog, &pool);
   EXPECT_GT(result.totals.outage_suppressed, 0u);
 
   for (const auto& run : result.residences) {
@@ -383,8 +385,8 @@ TEST(TimelineBehaviour, Nat64MakesWanAllV6) {
   cfg.timeline->events.push_back(
       *Timeline::parse_event("nat64_migration", "day=4 frac=1.0"));
 
-  FleetEngine engine(catalog, 2);
-  auto result = engine.run(cfg);
+  ThreadPool pool(1);  // + the calling thread = 2 lanes
+  auto result = testutil::simulate_scenario(cfg, catalog, &pool);
   auto metrics = std::vector<core::FleetMetric>{
       core::FleetMetric::v6_flow_fraction};
   // Window starts the day AFTER the migration day: sessions late on the
@@ -412,10 +414,10 @@ TEST(TimelineBehaviour, SeasonalScalesActivityUpAndDown) {
   cfg.timeline->events.push_back(
       *Timeline::parse_event("seasonal", "start=0 end=27 amp=0.9 period=28"));
 
-  FleetEngine engine(catalog, 2);
-  auto with = engine.run(cfg);
+  ThreadPool pool(1);  // + the calling thread = 2 lanes
+  auto with = testutil::simulate_scenario(cfg, catalog, &pool);
   cfg.timeline->events.clear();
-  auto without = engine.run(cfg);
+  auto without = testutil::simulate_scenario(cfg, catalog, &pool);
 
   auto day_flows = [](const engine::FleetResult& r, int lo, int hi) {
     std::uint64_t sum = 0;
@@ -575,7 +577,7 @@ TEST(TimelineApply, DayPlanCarriesAdversarialState) {
   cfg.timeline->events.push_back(
       *Timeline::parse_event("cgn_exhaustion", "start=6 end=9 ports=40"));
 
-  auto fleet = sample_fleet_detailed(cfg, catalog);
+  auto fleet = sample_stage(cfg, catalog);
   apply_timeline(fleet, cfg.timeline, cfg.seed, cfg.days);
   for (const auto& rc : fleet.configs) {
     ASSERT_TRUE(static_cast<bool>(rc.day_plan_fn));
@@ -598,8 +600,8 @@ TEST(TimelineBehaviour, ServiceOutageRejectsSessionsInWindowOnly) {
   cfg.timeline->events.push_back(
       *Timeline::parse_event("service_outage", "start=4 end=7 svc=0"));
 
-  FleetEngine engine(catalog, 2);
-  auto result = engine.run(cfg);
+  ThreadPool pool(1);  // + the calling thread = 2 lanes
+  auto result = testutil::simulate_scenario(cfg, catalog, &pool);
   EXPECT_GT(result.totals.service_outage_failed, 0u);
   EXPECT_GT(result.totals.flows, 0u);  // other services keep flowing
   for (size_t d = 0; d < result.totals.daily.size(); ++d) {
@@ -623,8 +625,8 @@ TEST(TimelineBehaviour, CgnExhaustionFailsV4SessionsAboveBudget) {
   cfg.timeline->events.push_back(
       *Timeline::parse_event("cgn_exhaustion", "start=5 end=9 ports=10"));
 
-  FleetEngine engine(catalog, 2);
-  auto result = engine.run(cfg);
+  ThreadPool pool(1);  // + the calling thread = 2 lanes
+  auto result = testutil::simulate_scenario(cfg, catalog, &pool);
   EXPECT_GT(result.totals.cgn_failures, 0u);
   for (size_t d = 0; d < 5; ++d)
     EXPECT_EQ(result.totals.daily[d].cgn_failures, 0u)
@@ -633,7 +635,7 @@ TEST(TimelineBehaviour, CgnExhaustionFailsV4SessionsAboveBudget) {
   // An unconstrained rerun has no CGN failures at all.
   FleetConfig open = cfg;
   open.timeline->events.clear();
-  auto baseline = engine.run(open);
+  auto baseline = testutil::simulate_scenario(open, catalog, &pool);
   EXPECT_EQ(baseline.totals.cgn_failures, 0u);
 }
 
@@ -648,8 +650,8 @@ TEST(TimelineBehaviour, DeviceTurnoverRaisesV6UseInBrokenHomes) {
   cfg.timeline->events.push_back(
       *Timeline::parse_event("device_turnover", "start=8 end=15 rate=1"));
 
-  FleetEngine engine(catalog, 2);
-  auto result = engine.run(cfg);
+  ThreadPool pool(1);  // + the calling thread = 2 lanes
+  auto result = testutil::simulate_scenario(cfg, catalog, &pool);
   auto metrics =
       std::vector<core::FleetMetric>{core::FleetMetric::v6_byte_fraction};
   auto panel = core::compare_windows(result, metrics, core::DayWindow{0, 7},
@@ -669,8 +671,8 @@ TEST(TimelineBehaviour, CpeFixHealsBrokenHomes) {
   cfg.timeline->events.push_back(
       *Timeline::parse_event("cpe_fix", "day=8 frac=1.0"));
 
-  FleetEngine engine(catalog, 2);
-  auto result = engine.run(cfg);
+  ThreadPool pool(1);  // + the calling thread = 2 lanes
+  auto result = testutil::simulate_scenario(cfg, catalog, &pool);
   auto metrics = std::vector<core::FleetMetric>{
       core::FleetMetric::v6_byte_fraction};
   auto panel = core::compare_windows(result, metrics, core::DayWindow{0, 7},
