@@ -1,11 +1,13 @@
 // Google-benchmark microbenchmarks for the hot substrate paths: address
-// parsing, LPM lookup, AES/CryptoPAN, DNS resolution, conntrack churn,
-// LOESS/MSTL, and Wilcoxon — the operations every experiment binary leans
-// on.
+// parsing, LPM lookup, AES/CryptoPAN, DNS resolution, the web crawl and
+// its PSL queries, conntrack churn, LOESS/MSTL, and Wilcoxon — the
+// operations every experiment binary leans on.
 #include <benchmark/benchmark.h>
 
+#include <string>
 #include <vector>
 
+#include "cloud/providers.h"
 #include "dns/resolver.h"
 #include "engine/flat_conntrack.h"
 #include "engine/fleet.h"
@@ -20,6 +22,9 @@
 #include "stats/rng.h"
 #include "stats/stl.h"
 #include "stats/wilcoxon.h"
+#include "web/crawler.h"
+#include "web/psl.h"
+#include "web/universe.h"
 
 namespace {
 
@@ -99,6 +104,54 @@ void BM_DnsResolveChain(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DnsResolveChain);
+
+// The whole crawl of a 2,000-site universe, facts-table construction
+// included (each FQDN resolved once over both families, its eTLD+1
+// interned), then every site's pages; items = fetched resources.
+void BM_CrawlAll(benchmark::State& state) {
+  const cloud::ProviderCatalog providers;
+  web::UniverseConfig cfg;
+  cfg.site_count = 2000;
+  const web::Universe universe(cfg, providers);
+  const dns::ZoneDb zone = universe.build_zone(web::Epoch::jul2025);
+  std::int64_t fetches = 0;
+  for (auto _ : state) {
+    const web::Crawler crawler(universe, zone, web::Epoch::jul2025);
+    auto crawls = crawler.crawl_all(7);
+    for (const auto& c : crawls)
+      fetches += static_cast<std::int64_t>(c.resources.size());
+    benchmark::DoNotOptimize(crawls);
+  }
+  state.SetItemsProcessed(fetches);
+}
+BENCHMARK(BM_CrawlAll)->Unit(benchmark::kMillisecond);
+
+// eTLD+1 of canonical hosts built around the built-in rules (wildcard and
+// exception rules included): the per-FQDN PSL query of the crawl and of
+// the cloud records.
+void BM_PslRegistrableDomain(benchmark::State& state) {
+  const auto psl = web::PublicSuffixList::builtin();
+  const auto rules = web::PublicSuffixList::builtin_rules();
+  static constexpr const char* kLabels[] = {"www", "cdn", "static", "api",
+                                            "example", "shop", "img"};
+  stats::Rng rng(4);
+  std::vector<std::string> hosts;
+  for (int i = 0; i < 1024; ++i) {
+    std::string_view rule = rules[rng.below(rules.size())];
+    if (rule[0] == '!') rule.remove_prefix(1);
+    if (rule.rfind("*.", 0) == 0) rule.remove_prefix(2);
+    std::string host(rule);
+    for (std::uint64_t l = 0, n = 1 + rng.below(3); l < n; ++l)
+      host = std::string(kLabels[rng.below(std::size(kLabels))]) + "." + host;
+    hosts.push_back(std::move(host));
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    auto r = psl.registrable_domain(hosts[i++ & 1023]);
+    benchmark::DoNotOptimize(r);
+  }
+}
+BENCHMARK(BM_PslRegistrableDomain);
 
 void BM_ConntrackChurn(benchmark::State& state) {
   flowmon::ConntrackTable table;

@@ -7,6 +7,7 @@
 // identification of §5.3 mines for service suffixes.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -65,6 +66,7 @@ class Resolver {
     /// Reachable over at least one family.
     [[nodiscard]] bool reachable() const { return has_v4() || has_v6(); }
   };
+  /// Walks the CNAME chain once; equal to resolve() for each family.
   [[nodiscard]] DualStack resolve_dual(std::string_view name) const;
 
   /// Maximum CNAME hops before declaring a loop (mirrors common resolver
@@ -72,6 +74,12 @@ class Resolver {
   static constexpr int kMaxChain = 16;
 
  private:
+  /// Follow the CNAME chain of `name`, recording it in `r.chain`. Returns
+  /// the terminal name's records, or nullopt with `r.status` set to
+  /// nxdomain / cname_loop.
+  [[nodiscard]] std::optional<ZoneDb::NameView> walk(std::string_view name,
+                                                     ResolveResult& r) const;
+
   const ZoneDb* db_;
 };
 

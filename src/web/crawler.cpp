@@ -1,58 +1,94 @@
 #include "web/crawler.h"
 
-#include <algorithm>
-#include <unordered_set>
+#include <string>
+#include <unordered_map>
+#include <utility>
+
+#include "dns/resolver.h"
 
 namespace nbv6::web {
 
 Crawler::Crawler(const Universe& universe, const dns::ZoneDb& zone,
                  Epoch epoch, CrawlerConfig cfg)
-    : universe_(&universe),
-      zone_(&zone),
-      resolver_(zone),
-      epoch_(epoch),
-      cfg_(cfg) {}
+    : universe_(&universe), epoch_(epoch), cfg_(cfg) {
+  const dns::Resolver resolver(zone);
+  const PublicSuffixList& psl = universe.psl();
+  std::unordered_map<std::string, std::uint32_t> site_ids;
+  facts_.reserve(universe.fqdns().size());
+  for (const Fqdn& f : universe.fqdns()) {
+    const auto dual = resolver.resolve_dual(f.name);
+    FqdnFacts facts;
+    facts.has_a = dual.has_v4();
+    facts.has_aaaa = dual.has_v6();
+    if (auto etld1 = psl.registrable_domain(f.name)) {
+      const auto next = static_cast<std::uint32_t>(site_ids.size());
+      facts.site_id = site_ids.try_emplace(std::move(*etld1), next).first->second;
+    }
+    facts_.push_back(facts);
+  }
+}
 
-void Crawler::load_page(const Page& page, SiteCrawl& out,
+/// Insert-only open-addressing set of (fqdn, type) keys, sized once for a
+/// site's worst case (every resource of every page distinct) so it never
+/// grows: one allocation per site, and no node per key.
+class Crawler::SeenSet {
+ public:
+  explicit SeenSet(std::size_t max_keys) {
+    std::size_t cap = 16;
+    while (cap < 2 * max_keys) cap *= 2;
+    slots_.assign(cap, kEmpty);
+  }
+
+  /// True when `key` was not in the set yet.
+  bool insert(std::uint64_t key) {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t s = ((key * 0x9e3779b97f4a7c15ull) >> 32) & mask;
+    while (slots_[s] != kEmpty) {
+      if (slots_[s] == key) return false;
+      s = (s + 1) & mask;
+    }
+    slots_[s] = key;
+    return true;
+  }
+
+ private:
+  static constexpr std::uint64_t kEmpty = ~0ull;  // keys are < 2^35
+  std::vector<std::uint64_t> slots_;
+};
+
+net::Family Crawler::race(const FqdnFacts& f, stats::Rng& rng) const {
+  if (f.has_a && f.has_aaaa)
+    return rng.chance(cfg_.he_v4_win_prob) ? net::Family::v4 : net::Family::v6;
+  return f.has_aaaa ? net::Family::v6 : net::Family::v4;
+}
+
+void Crawler::load_page(const Page& page, std::uint32_t main_site_id,
+                        SeenSet& seen, SiteCrawl& out,
                         stats::Rng& rng) const {
   // Dedup observations by (fqdn, type): re-fetches of the same resource on
-  // later pages don't create new observations. The seen-set is rebuilt from
-  // the accumulated observations; pages are small, so this stays cheap.
-  std::unordered_set<std::uint64_t> seen;
-  seen.reserve(out.resources.size() * 2);
-  for (const auto& r : out.resources)
-    seen.insert((static_cast<std::uint64_t>(r.fqdn) << 3) |
-                static_cast<std::uint64_t>(r.type));
-
+  // later pages don't create new observations.
   for (const auto& ref : page.resources) {
-    std::uint64_t key = (static_cast<std::uint64_t>(ref.fqdn) << 3) |
-                        static_cast<std::uint64_t>(ref.type);
-    if (!seen.insert(key).second) continue;
+    const std::uint64_t key = (static_cast<std::uint64_t>(ref.fqdn) << 3) |
+                              static_cast<std::uint64_t>(ref.type);
+    if (!seen.insert(key)) continue;
 
-    const Fqdn& f = universe_->fqdns()[ref.fqdn];
-    auto dual = resolver_.resolve_dual(f.name);
-
+    const FqdnFacts& f = facts_[ref.fqdn];
     ResourceObservation obs;
     obs.fqdn = ref.fqdn;
     obs.type = ref.type;
-    obs.first_party = universe_->psl().same_site(f.name, out.main_host);
-    obs.has_a = dual.has_v4();
-    obs.has_aaaa = dual.has_v6();
-    obs.failed = !dual.reachable();
-    if (obs.has_a && obs.has_aaaa) {
-      obs.used = rng.chance(cfg_.he_v4_win_prob) ? net::Family::v4
-                                                 : net::Family::v6;
-    } else {
-      obs.used = obs.has_aaaa ? net::Family::v6 : net::Family::v4;
-    }
+    // Same eTLD+1 as the main host; a name without one is never
+    // first-party.
+    obs.first_party = f.site_id != kNoSite && f.site_id == main_site_id;
+    obs.has_a = f.has_a;
+    obs.has_aaaa = f.has_aaaa;
+    obs.failed = !f.reachable();
+    obs.used = race(f, rng);
     out.resources.push_back(obs);
   }
 
-  for ([[maybe_unused]] auto ext : page.external_links) {
-    // The paper's crawler only follows links inside the site's eTLD+1;
-    // external link targets are refused, never loaded.
-    ++out.external_links_refused;
-  }
+  // The paper's crawler only follows links inside the site's eTLD+1;
+  // external link targets are refused, never loaded.
+  out.external_links_refused += static_cast<int>(page.external_links.size());
 }
 
 SiteCrawl Crawler::crawl_impl(std::uint32_t site_index, stats::Rng& rng,
@@ -62,11 +98,9 @@ SiteCrawl Crawler::crawl_impl(std::uint32_t site_index, stats::Rng& rng,
   out.site_index = site_index;
   out.fate = universe_->fate(site, epoch_);
 
-  // Resolve the main domain. NXDOMAIN sites are unregistered, so the
+  // The main domain's DNS answer. NXDOMAIN sites are unregistered, so the
   // failure is discovered through DNS exactly as a real crawler would.
-  const Fqdn& main = universe_->fqdns()[site.main_fqdn];
-  auto dual = resolver_.resolve_dual(main.name);
-  if (!dual.reachable()) {
+  if (!facts_[site.main_fqdn].reachable()) {
     out.fate = SiteFate::nxdomain;
     return out;
   }
@@ -78,29 +112,23 @@ SiteCrawl Crawler::crawl_impl(std::uint32_t site_index, stats::Rng& rng,
 
   // Follow the main-page redirect; classification applies to the final
   // page of the redirect chain (§4.2).
-  std::uint32_t effective_main = site.main_fqdn;
-  if (site.redirect_to) {
-    effective_main = *site.redirect_to;
-    dual = resolver_.resolve_dual(universe_->fqdns()[effective_main].name);
-    if (!dual.reachable()) {
-      out.fate = SiteFate::other_failure;  // broken redirect target
-      return out;
-    }
+  const std::uint32_t effective_main = site.redirect_to.value_or(site.main_fqdn);
+  const FqdnFacts& main = facts_[effective_main];
+  if (!main.reachable()) {
+    out.fate = SiteFate::other_failure;  // broken redirect target
+    return out;
   }
   out.main_host = universe_->fqdns()[effective_main].name;
-  out.main_has_a = dual.has_v4();
-  out.main_has_aaaa = dual.has_v6();
-  out.unknown_primary =
-      !universe_->psl().registrable_domain(out.main_host).has_value();
-  if (out.main_has_a && out.main_has_aaaa) {
-    out.main_used = rng.chance(cfg_.he_v4_win_prob) ? net::Family::v4
-                                                    : net::Family::v6;
-  } else {
-    out.main_used = out.main_has_aaaa ? net::Family::v6 : net::Family::v4;
-  }
+  out.main_has_a = main.has_a;
+  out.main_has_aaaa = main.has_aaaa;
+  out.unknown_primary = main.site_id == kNoSite;
+  out.main_used = race(main, rng);
 
   // Load the main page.
-  load_page(site.pages[0], out, rng);
+  std::size_t max_keys = 0;
+  for (const Page& p : site.pages) max_keys += p.resources.size();
+  SeenSet seen(max_keys);
+  load_page(site.pages[0], main.site_id, seen, out, rng);
   out.pages_loaded = 1;
 
   // Click up to `link_clicks` distinct same-site links, chosen at random
@@ -110,7 +138,7 @@ SiteCrawl Crawler::crawl_impl(std::uint32_t site_index, stats::Rng& rng,
     size_t pick = rng.below(candidates.size());
     std::uint32_t page_idx = candidates[pick];
     candidates.erase(candidates.begin() + static_cast<std::ptrdiff_t>(pick));
-    load_page(site.pages[page_idx], out, rng);
+    load_page(site.pages[page_idx], main.site_id, seen, out, rng);
     ++out.pages_loaded;
   }
   return out;

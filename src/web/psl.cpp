@@ -1,135 +1,128 @@
 #include "web/psl.h"
 
-#include <algorithm>
-#include <vector>
+#include "dns/zone.h"
 
 namespace nbv6::web {
 
-std::vector<std::string_view> split_labels(std::string_view host) {
-  std::vector<std::string_view> labels;
-  size_t start = 0;
-  while (start <= host.size()) {
-    size_t dot = host.find('.', start);
-    if (dot == std::string_view::npos) {
-      labels.push_back(host.substr(start));
-      break;
-    }
-    labels.push_back(host.substr(start, dot - start));
-    start = dot + 1;
-  }
-  return labels;
+namespace {
+
+constexpr std::string_view kBuiltinRules[] = {
+    // gTLDs and common new TLDs.
+    "com", "org", "net", "edu", "gov", "mil", "int", "io", "co", "ai",
+    "app", "dev", "cloud", "online", "shop", "site", "xyz", "info", "biz",
+    "tv", "me", "us", "ca", "de", "fr", "nl", "es", "it", "pl", "ru", "cn",
+    "in", "br", "mx", "se", "no", "fi", "ch", "at", "be", "cz", "gr", "pt",
+    "ro", "hu", "dk", "ie", "il", "tr", "za", "kr", "vn", "id", "th", "my",
+    "sg", "hk", "tw", "ar", "cl", "pe", "ve",
+    // Two-level public suffixes.
+    "co.uk", "org.uk", "ac.uk", "gov.uk", "me.uk",
+    "com.au", "net.au", "org.au", "edu.au",
+    "co.jp", "ne.jp", "or.jp", "ac.jp",
+    "com.br", "net.br", "org.br",
+    "co.in", "net.in", "org.in",
+    "com.cn", "net.cn", "org.cn",
+    "co.nz", "net.nz", "org.nz",
+    "com.mx", "com.ar", "com.tr", "com.sg", "com.hk", "com.tw",
+    "co.kr", "co.za", "com.vn",
+    // Private-registry suffixes on the real PSL that matter for
+    // third-party hosting analysis.
+    "github.io", "gitlab.io", "netlify.app", "vercel.app", "web.app",
+    "firebaseapp.com", "herokuapp.com", "azurewebsites.net",
+    "cloudfront.net", "appspot.com", "run.app", "b-cdn.net",
+    "amazonaws.com",
+    // Wildcard and exception rules (the ck classic).
+    "*.ck", "!www.ck",
+};
+
+/// Run `fn` on the canonical form of `host`, copying only when `host` is
+/// not canonical already. `fn` must return an owning value.
+template <typename Fn>
+auto on_canonical(std::string_view host, Fn&& fn) {
+  if (dns::is_canonical(host)) return fn(host);
+  const std::string canon = dns::canonicalize(host);
+  return fn(std::string_view(canon));
+}
+
+}  // namespace
+
+std::span<const std::string_view> PublicSuffixList::builtin_rules() {
+  return kBuiltinRules;
 }
 
 void PublicSuffixList::add_rule(std::string_view rule) {
   if (rule.empty()) return;
   if (rule[0] == '!') {
-    exception_rules_.emplace(rule.substr(1));
+    exception_rules_.emplace(dns::canonicalize(rule.substr(1)));
   } else if (rule.rfind("*.", 0) == 0) {
-    wildcard_rules_.emplace(rule.substr(2));
+    wildcard_rules_.emplace(dns::canonicalize(rule.substr(2)));
   } else {
-    rules_.emplace(rule);
+    rules_.emplace(dns::canonicalize(rule));
   }
 }
 
 PublicSuffixList PublicSuffixList::builtin() {
   PublicSuffixList psl;
-  static constexpr const char* kRules[] = {
-      // gTLDs and common new TLDs.
-      "com", "org", "net", "edu", "gov", "mil", "int", "io", "co", "ai",
-      "app", "dev", "cloud", "online", "shop", "site", "xyz", "info", "biz",
-      "tv", "me", "us", "ca", "de", "fr", "nl", "es", "it", "pl", "ru", "cn",
-      "in", "br", "mx", "se", "no", "fi", "ch", "at", "be", "cz", "gr", "pt",
-      "ro", "hu", "dk", "ie", "il", "tr", "za", "kr", "vn", "id", "th", "my",
-      "sg", "hk", "tw", "ar", "cl", "pe", "ve",
-      // Two-level public suffixes.
-      "co.uk", "org.uk", "ac.uk", "gov.uk", "me.uk",
-      "com.au", "net.au", "org.au", "edu.au",
-      "co.jp", "ne.jp", "or.jp", "ac.jp",
-      "com.br", "net.br", "org.br",
-      "co.in", "net.in", "org.in",
-      "com.cn", "net.cn", "org.cn",
-      "co.nz", "net.nz", "org.nz",
-      "com.mx", "com.ar", "com.tr", "com.sg", "com.hk", "com.tw",
-      "co.kr", "co.za", "com.vn",
-      // Private-registry suffixes on the real PSL that matter for
-      // third-party hosting analysis.
-      "github.io", "gitlab.io", "netlify.app", "vercel.app", "web.app",
-      "firebaseapp.com", "herokuapp.com", "azurewebsites.net",
-      "cloudfront.net", "appspot.com", "run.app", "b-cdn.net",
-      "amazonaws.com",
-      // Wildcard and exception rules (the ck classic).
-      "*.ck", "!www.ck",
-  };
-  for (auto* r : kRules) psl.add_rule(r);
+  for (std::string_view r : kBuiltinRules) psl.add_rule(r);
   return psl;
 }
 
+std::string_view PublicSuffixList::suffix_of(std::string_view host) const {
+  // Walk candidate suffixes from the full host down, each a view starting
+  // at the host's start or just past a dot; the first (longest) match
+  // wins. PSL semantics: exception beats wildcard; wildcard "*.X" makes
+  // "<label>.X" a suffix; otherwise the literal rules; fall back to the
+  // last label (implicit "*").
+  for (size_t start = 0;;) {
+    const std::string_view suffix = host.substr(start);
+    const size_t dot = suffix.find('.');
+    const std::string_view parent =
+        dot == std::string_view::npos ? std::string_view{}
+                                      : suffix.substr(dot + 1);
+    // The exception rule says this exact name is NOT a public suffix; its
+    // public suffix is one label shorter.
+    if (exception_rules_.contains(suffix)) return parent;
+    if (rules_.contains(suffix)) return suffix;
+    if (dot == std::string_view::npos) return suffix;  // implicit "*"
+    if (wildcard_rules_.contains(parent)) return suffix;
+    start += dot + 1;
+  }
+}
+
+std::string_view PublicSuffixList::registrable_of(std::string_view host) const {
+  const std::string_view suffix = suffix_of(host);
+  // No registrable domain when the host IS a suffix or ends in an empty
+  // label.
+  if (suffix.empty() || suffix.size() >= host.size()) return {};
+  // One more label than the suffix.
+  const std::string_view rest = host.substr(0, host.size() - suffix.size() - 1);
+  const size_t last_dot = rest.rfind('.');
+  const size_t label_start = last_dot == std::string_view::npos ? 0 : last_dot + 1;
+  if (label_start == rest.size()) return {};  // empty label ("a..com")
+  return host.substr(label_start);
+}
+
 std::string PublicSuffixList::public_suffix(std::string_view host) const {
-  auto labels = split_labels(host);
-  if (labels.empty()) return std::string(host);
-
-  // Walk suffixes from the full host down; track the longest match. PSL
-  // semantics: exception beats wildcard; wildcard "*.X" makes "<label>.X"
-  // a suffix; otherwise the literal rules; fall back to the last label
-  // (implicit "*").
-  int best = -1;  // index into labels where the suffix starts
-  for (size_t start = 0; start < labels.size(); ++start) {
-    std::string suffix;
-    for (size_t i = start; i < labels.size(); ++i) {
-      if (!suffix.empty()) suffix += '.';
-      suffix += labels[i];
-    }
-    if (exception_rules_.contains(suffix)) {
-      // The exception rule says this exact name is NOT a public suffix;
-      // its public suffix is one label shorter.
-      best = static_cast<int>(start) + 1;
-      break;
-    }
-    if (rules_.contains(suffix)) {
-      best = static_cast<int>(start);
-      break;
-    }
-    // Wildcard: "*.X" matches "<l>.X...": check the parent.
-    if (start + 1 < labels.size()) {
-      std::string parent;
-      for (size_t i = start + 1; i < labels.size(); ++i) {
-        if (!parent.empty()) parent += '.';
-        parent += labels[i];
-      }
-      if (wildcard_rules_.contains(parent)) {
-        best = static_cast<int>(start);
-        break;
-      }
-    }
-  }
-  if (best < 0) best = static_cast<int>(labels.size()) - 1;  // implicit "*"
-
-  std::string out;
-  for (size_t i = static_cast<size_t>(best); i < labels.size(); ++i) {
-    if (!out.empty()) out += '.';
-    out += labels[i];
-  }
-  return out;
+  return on_canonical(host, [this](std::string_view h) {
+    return std::string(suffix_of(h));
+  });
 }
 
 std::optional<std::string> PublicSuffixList::registrable_domain(
     std::string_view host) const {
-  std::string suffix = public_suffix(host);
-  if (suffix.size() >= host.size()) return std::nullopt;  // host IS a suffix
-  // One more label than the suffix.
-  std::string_view rest = host.substr(0, host.size() - suffix.size() - 1);
-  size_t last_dot = rest.rfind('.');
-  std::string_view label =
-      last_dot == std::string_view::npos ? rest : rest.substr(last_dot + 1);
-  if (label.empty()) return std::nullopt;
-  return std::string(label) + "." + suffix;
+  return on_canonical(host, [this](std::string_view h) {
+    const std::string_view r = registrable_of(h);
+    return r.empty() ? std::nullopt : std::optional<std::string>(r);
+  });
 }
 
 bool PublicSuffixList::same_site(std::string_view a,
                                  std::string_view b) const {
-  auto ra = registrable_domain(a);
-  auto rb = registrable_domain(b);
-  return ra && rb && *ra == *rb;
+  return on_canonical(a, [&](std::string_view ca) {
+    return on_canonical(b, [&](std::string_view cb) {
+      const std::string_view ra = registrable_of(ca);
+      return !ra.empty() && ra == registrable_of(cb);
+    });
+  });
 }
 
 }  // namespace nbv6::web

@@ -11,11 +11,12 @@
 // preloaded with a representative rule set; callers can add rules.
 #pragma once
 
+#include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_set>
-#include <vector>
 
 namespace nbv6::web {
 
@@ -29,8 +30,18 @@ class PublicSuffixList {
   /// every branch of the algorithm.
   static PublicSuffixList builtin();
 
-  /// Add one rule in PSL syntax ("com", "co.uk", "*.ck", "!www.ck").
+  /// The rules builtin() loads, in PSL syntax.
+  static std::span<const std::string_view> builtin_rules();
+
+  /// Add one rule in PSL syntax ("com", "co.uk", "*.ck", "!www.ck"). The
+  /// rule is canonicalized like a host.
   void add_rule(std::string_view rule);
+
+  // Every query canonicalizes `host` first (lowercase, one trailing root
+  // dot stripped, as dns::canonicalize does), so "WWW.Example.com." and
+  // "www.example.com" answer alike; results are in canonical form. Only a
+  // non-canonical host costs a copy: candidate suffixes are views into the
+  // host, probed against the rule sets without building a string each.
 
   /// Longest matching public suffix of `host` ("a.b.co.uk" -> "co.uk").
   /// Per the PSL algorithm, an unlisted TLD matches the implicit "*" rule.
@@ -38,7 +49,8 @@ class PublicSuffixList {
 
   /// Registrable domain: public suffix plus one label
   /// ("x.assets.example.co.uk" -> "example.co.uk"). nullopt when `host`
-  /// itself is a public suffix (no registrable domain exists).
+  /// itself is a public suffix (no registrable domain exists), or when the
+  /// label before the suffix, or the suffix itself, is empty ("a..com").
   [[nodiscard]] std::optional<std::string> registrable_domain(
       std::string_view host) const;
 
@@ -48,12 +60,23 @@ class PublicSuffixList {
   [[nodiscard]] bool same_site(std::string_view a, std::string_view b) const;
 
  private:
-  std::unordered_set<std::string> rules_;
-  std::unordered_set<std::string> wildcard_rules_;   // stored without "*."
-  std::unordered_set<std::string> exception_rules_;  // stored without "!"
-};
+  /// Heterogeneous hashing: rule sets are probed with string_views.
+  struct ViewHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+  using RuleSet = std::unordered_set<std::string, ViewHash, std::equal_to<>>;
 
-/// Split a hostname into labels ("a.b.c" -> {"a","b","c"}).
-std::vector<std::string_view> split_labels(std::string_view host);
+  /// public_suffix / registrable_domain of a canonical host, as views
+  /// into it (registrable is empty when there is none).
+  [[nodiscard]] std::string_view suffix_of(std::string_view canon) const;
+  [[nodiscard]] std::string_view registrable_of(std::string_view canon) const;
+
+  RuleSet rules_;
+  RuleSet wildcard_rules_;   // stored without "*."
+  RuleSet exception_rules_;  // stored without "!"
+};
 
 }  // namespace nbv6::web

@@ -216,6 +216,52 @@ TEST(Resolver, MixedCaseChainResolvesAndReportsCanonicalChain) {
   EXPECT_EQ(res.terminal(), "edge.cdn.net");
 }
 
+TEST(Resolver, ResolveDualEqualsTwoResolvesOnEdgeCases) {
+  // The single chain walk of resolve_dual must answer exactly like one
+  // resolve() per family: status, chain and addresses.
+  ZoneDb zone;
+  zone.add_cname("a.test", "b.test");  // two-name loop
+  zone.add_cname("b.test", "a.test");
+  zone.add_cname("self.test", "self.test");
+  zone.add_cname("dangling.test", "gone.test");     // CNAME -> NXDOMAIN
+  zone.add_cname("to-v4.test", "v4only.test");      // CNAME -> NODATA (AAAA)
+  zone.add_a("v4only.test", v4(1));
+  zone.add_cname("to-v6.test", "v6only.test");      // CNAME -> NODATA (A)
+  zone.add_aaaa("v6only.test", v6(1));
+  zone.add_cname("Shop.Example.com", "edge.CDN.net");  // mixed case
+  zone.add_a("edge.cdn.net", v4(2));
+  zone.add_a("edge.cdn.net", v4(3));
+  zone.add_aaaa("edge.cdn.net", v6(2));
+  // A chain longer than kMaxChain.
+  for (int i = 0; i <= Resolver::kMaxChain + 1; ++i)
+    zone.add_cname("hop" + std::to_string(i) + ".test",
+                   "hop" + std::to_string(i + 1) + ".test");
+  zone.add_a("hop" + std::to_string(Resolver::kMaxChain + 2) + ".test", v4(4));
+  Resolver r(zone);
+
+  for (const char* name :
+       {"a.test", "self.test", "dangling.test", "to-v4.test", "to-v6.test",
+        "v4only.test", "v6only.test", "SHOP.EXAMPLE.COM.", "shop.example.com",
+        "Edge.Cdn.Net", "missing.test", "hop0.test", "hop5.test"}) {
+    const auto dual = r.resolve_dual(name);
+    const auto a = r.resolve_a(name);
+    const auto aaaa = r.resolve_aaaa(name);
+    EXPECT_EQ(dual.v4.status, a.status) << name;
+    EXPECT_EQ(dual.v4.chain, a.chain) << name;
+    EXPECT_EQ(dual.v4.addresses, a.addresses) << name;
+    EXPECT_EQ(dual.v6.status, aaaa.status) << name;
+    EXPECT_EQ(dual.v6.chain, aaaa.chain) << name;
+    EXPECT_EQ(dual.v6.addresses, aaaa.addresses) << name;
+  }
+  EXPECT_EQ(r.resolve_dual("a.test").v6.status, ResolveStatus::cname_loop);
+  EXPECT_EQ(r.resolve_dual("hop0.test").v4.status, ResolveStatus::cname_loop);
+  EXPECT_EQ(r.resolve_dual("hop5.test").v4.status, ResolveStatus::ok);
+  EXPECT_EQ(r.resolve_dual("to-v4.test").v6.status, ResolveStatus::nodata);
+  EXPECT_EQ(r.resolve_dual("to-v6.test").v4.status, ResolveStatus::nodata);
+  EXPECT_EQ(r.resolve_dual("dangling.test").v4.status, ResolveStatus::nxdomain);
+  EXPECT_EQ(r.resolve_dual("SHOP.EXAMPLE.COM.").v6.addresses.size(), 1u);
+}
+
 TEST(ResolveStatusNames, ToString) {
   EXPECT_EQ(to_string(ResolveStatus::ok), "ok");
   EXPECT_EQ(to_string(ResolveStatus::nodata), "nodata");
