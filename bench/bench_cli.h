@@ -12,8 +12,8 @@
 // `--help`. Values go through the same cfgparse lexers the scenario-file
 // parser uses, so "what is a valid int" has one answer repo-wide; unknown
 // flags and malformed values fail loudly with usage on stderr. Bare
-// positionals (declared in order) keep legacy invocations like
-// `fuzz_scenarios 64 1 outdir` working.
+// positionals are consumed in declaration order (fleet_fig_cdf's output
+// paths, for example); an undeclared one fails like an unknown flag.
 #pragma once
 
 #include <cstdint>

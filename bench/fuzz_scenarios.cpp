@@ -1,18 +1,17 @@
 // fuzz_scenarios: standalone differential scenario fuzzer.
 //
 //   fuzz_scenarios [--count=500 --base-seed=1 --outdir=fuzz-failures]
-//   fuzz_scenarios [count] [base_seed] [outdir]     (legacy positionals)
 //
 // Generates `count` scenarios starting at `base_seed`, runs the full
-// differential battery on each (parse/render round trip,
-// lazy-vs-materialized plan cells, 1/4/8-lane byte-identical replays,
-// windowed metric finiteness), and exits non-zero if any scenario fails.
+// differential battery on each (parse/render round trip, lazy day plans
+// against the materialized-plan oracle, 1/4/8-lane byte-identical replays,
+// windowed metric finiteness), and exits non-zero if any scenario fails
+// or if `count` is 0 (a sweep that checks nothing must not pass).
 // Failing configs are written to `outdir` as fail_<seed>.cfg next to a
 // .err file with the failure description — CI uploads that directory as
 // an artifact, and the .cfg file alone reproduces the failure under
 // scenario_fuzz_test.
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 
@@ -26,19 +25,16 @@ int main(int argc, char** argv) {
   std::uint64_t count = 500;
   std::uint64_t base = 1;
   std::string outdir = "fuzz-failures";
-  std::string count_pos;
-  std::string base_pos;
 
   bench::Cli cli("fuzz_scenarios", "Differential scenario fuzzer");
   cli.flag_u64("count", &count, "scenarios to generate");
   cli.flag_u64("base-seed", &base, "first scenario seed");
   cli.flag_string("outdir", &outdir, "failing-config output directory");
-  cli.positional("count", &count_pos, "legacy form of --count");
-  cli.positional("base_seed", &base_pos, "legacy form of --base-seed");
-  cli.positional("outdir", &outdir, "legacy form of --outdir");
   if (!cli.parse(argc, argv)) return cli.exit_code();
-  if (!count_pos.empty()) count = std::strtoull(count_pos.c_str(), nullptr, 10);
-  if (!base_pos.empty()) base = std::strtoull(base_pos.c_str(), nullptr, 10);
+  if (count == 0) {
+    std::fprintf(stderr, "fuzz_scenarios: --count must be at least 1\n");
+    return 2;
+  }
 
   const auto catalog = traffic::build_paper_catalog();
   std::uint64_t failures = 0;

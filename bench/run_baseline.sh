@@ -4,9 +4,11 @@
 # Usage: run_baseline.sh [--check] <perf_microbench-binary> <repo-root> [out-name] [prev-name]
 #
 # Runs the google-benchmark harness in JSON mode and writes the result to
-# <repo-root>/<out-name> (default BENCH_pr7.json). The file is committed at
-# the repo root as one point of the performance trajectory; each perf PR
-# adds BENCH_prN.json next to the previous points. When a previous
+# <repo-root>/<out-name>. The file is committed at the repo root as one
+# point of the performance trajectory; each perf change adds a new
+# BENCH_prN.json next to the previous points. out-name has no default: a
+# run without --check that names no file fails with the usage line rather
+# than overwrite a committed point. When a previous
 # baseline exists (default: the highest-numbered committed BENCH_pr*.json
 # other than the one being written) and python3 is available, a
 # regression table of common benchmarks is printed afterwards; benchmarks
@@ -30,9 +32,15 @@ if [[ "${1:-}" == "--check" ]]; then
   shift
 fi
 
-BIN=${1:?usage: run_baseline.sh [--check] <perf_microbench-binary> <repo-root> [out-name] [prev-name]}
-ROOT=${2:?usage: run_baseline.sh [--check] <perf_microbench-binary> <repo-root> [out-name] [prev-name]}
-OUT=${3:-BENCH_pr7.json}
+USAGE="usage: run_baseline.sh [--check] <perf_microbench-binary> <repo-root> [out-name] [prev-name]"
+BIN=${1:?$USAGE}
+ROOT=${2:?$USAGE}
+OUT=${3:-}
+if [[ "$CHECK" != "1" && -z "$OUT" ]]; then
+  echo "$USAGE" >&2
+  echo "error: out-name is required unless --check is given" >&2
+  exit 1
+fi
 
 # Gate runs (typically short smoke passes) must not clobber the committed
 # baseline: unless an out-name was given explicitly, a --check run writes

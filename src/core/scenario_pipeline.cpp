@@ -60,17 +60,17 @@ Pass sample_pass(const FleetConfig& cfg,
   return p;
 }
 
-Pass timeline_pass(const FleetConfig& cfg, engine::TimelinePlanMode mode) {
+Pass timeline_pass(const FleetConfig& cfg) {
   Pass p;
   p.name = "timeline";
   p.inputs = {"population"};
   p.outputs = {"planned_fleet"};
-  p.config_digest = timeline_digest(cfg, mode);
-  p.run = [cfg, mode](PassContext& ctx) {
+  p.config_digest = timeline_digest(cfg);
+  p.run = [cfg](PassContext& ctx) {
     // Inputs are immutable; plan onto a copy. An empty timeline still
     // re-binds the copy so downstream passes have one resource to consume.
     SampledFleet planned = ctx.in<SampledFleet>("population");
-    engine::apply_timeline(planned, cfg.timeline, cfg.seed, cfg.days, mode);
+    engine::apply_timeline(planned, cfg.timeline, cfg.seed, cfg.days);
     ctx.out("planned_fleet", std::move(planned));
   };
   return p;
@@ -186,11 +186,9 @@ std::uint64_t population_digest(const FleetConfig& cfg,
       .value();
 }
 
-std::uint64_t timeline_digest(const FleetConfig& cfg,
-                              engine::TimelinePlanMode mode) {
+std::uint64_t timeline_digest(const FleetConfig& cfg) {
   DigestBuilder db;
-  db.str("timeline").u64(cfg.seed).i64(cfg.days).u64(
-      static_cast<std::uint64_t>(mode));
+  db.str("timeline").u64(cfg.seed).i64(cfg.days);
   db.u64(cfg.timeline->events.size());
   for (const auto& ev : cfg.timeline->events) {
     db.u64(static_cast<std::uint64_t>(ev.kind))
@@ -214,7 +212,7 @@ void register_scenario_passes(Pipeline& pipe, const FleetConfig& cfg,
                               const traffic::ServiceCatalog& catalog,
                               const ScenarioPassOptions& opts) {
   pipe.add(sample_pass(cfg, catalog))
-      .add(timeline_pass(cfg, opts.plan_mode))
+      .add(timeline_pass(cfg))
       .add(simulate_pass(catalog))
       .add(metrics_pass())
       .add(report_pass(opts.alpha))
@@ -258,7 +256,7 @@ std::vector<PassReadAudit> audit_scenario_passes(
   // cfg into their run lambdas, and a copy must not count as a read.
   std::vector<Pass> passes;
   passes.push_back(sample_pass(cfg, catalog));
-  passes.push_back(timeline_pass(cfg, opts.plan_mode));
+  passes.push_back(timeline_pass(cfg));
   passes.push_back(simulate_pass(catalog));
   passes.push_back(metrics_pass());
   passes.push_back(report_pass(opts.alpha));
@@ -279,7 +277,7 @@ std::vector<PassReadAudit> audit_scenario_passes(
                             ? hooks.population_digest(cfg, catalog)
                             : population_digest(cfg, catalog);
     } else if (p.name == "timeline") {
-      p.config_digest = timeline_digest(cfg, opts.plan_mode);
+      p.config_digest = timeline_digest(cfg);
     } else if (p.name == "simulate") {
       p.config_digest = catalog.content_digest();
     } else if (p.name == "metrics") {
@@ -334,7 +332,7 @@ void replace_scenario_config(Pipeline& pipe, const FleetConfig& cfg,
                              const traffic::ServiceCatalog& catalog,
                              const ScenarioPassOptions& opts) {
   pipe.replace(sample_pass(cfg, catalog));
-  pipe.replace(timeline_pass(cfg, opts.plan_mode));
+  pipe.replace(timeline_pass(cfg));
   pipe.replace(window_panel_pass(cfg, opts.alpha));
 }
 

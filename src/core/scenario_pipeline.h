@@ -23,10 +23,9 @@
 // The config digests draw a deliberate line through FleetConfig: the
 // sample pass digests only the population slice (residences, seed,
 // fractions, arrivals, horizon, catalog content), the timeline pass only
-// the timeline slice (events, seed, horizon, plan mode). Scenario variants
-// that differ only in their timeline therefore share one cached sample
-// pass — the base population is sampled once per sweep, not once per
-// variant.
+// the timeline slice (events, seed, horizon). Scenario variants that
+// differ only in their timeline therefore share one cached sample pass —
+// the base population is sampled once per sweep, not once per variant.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +37,6 @@
 #include "engine/config_tracking.h"
 #include "engine/fleet.h"
 #include "engine/pipeline.h"
-#include "engine/timeline.h"
 #include "traffic/service_catalog.h"
 
 namespace nbv6::core {
@@ -46,23 +44,19 @@ namespace nbv6::core {
 // --------------------------------------------------------------- digests
 
 /// Digest of the population slice of `cfg` (everything sample_stage reads)
-/// plus the catalog content. Excludes threads, timeline, and plan mode:
-/// none of them can change what is sampled.
+/// plus the catalog content. Excludes threads and timeline: neither can
+/// change what is sampled.
 std::uint64_t population_digest(const engine::FleetConfig& cfg,
                                 const traffic::ServiceCatalog& catalog);
 
-/// Digest of the timeline slice: events (every field), master seed,
-/// horizon, and plan mode. Lazy and materialized plans are byte-identical
-/// downstream, but the planned_fleet value itself differs in representation
-/// (DayPlanFn vs materialized vectors), so mode is part of the identity.
-std::uint64_t timeline_digest(const engine::FleetConfig& cfg,
-                              engine::TimelinePlanMode mode);
+/// Digest of the timeline slice: events (every field), master seed and
+/// horizon.
+std::uint64_t timeline_digest(const engine::FleetConfig& cfg);
 
 // ---------------------------------------------------------- registration
 
 /// Knobs for the standard passes.
 struct ScenarioPassOptions {
-  engine::TimelinePlanMode plan_mode = engine::TimelinePlanMode::lazy;
   /// Holm-correction level for the report and window panel.
   double alpha = 0.05;
   /// Non-empty: also register the three file-sink passes, writing

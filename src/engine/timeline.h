@@ -18,15 +18,19 @@
 // engine thread count, so a timeline replay is bit-identical for any lane
 // count — the invariant the golden-replay suite pins.
 //
-// apply_timeline() materializes the day states into per-day DayPlan
-// entries on each sampled ResidenceConfig; the traffic generator consults
-// the plan at the start of every simulated day.
+// apply_timeline() installs a per-residence DayPlanFn on each sampled
+// ResidenceConfig that derives the day state on the fly; the traffic
+// generator consults it at the start of every simulated day.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string_view>
 #include <vector>
+
+namespace nbv6::traffic {
+struct DayPlan;
+}
 
 namespace nbv6::engine {
 
@@ -203,28 +207,25 @@ TimelineDayState timeline_day_state(const Timeline& tl, std::uint64_t seed,
                                     int index, int day, int days,
                                     const ResidenceTraits& base);
 
-/// How apply_timeline hands day plans to the traffic layer.
-enum class TimelinePlanMode {
-  /// Install a per-residence DayPlanFn that computes timeline_day_state on
-  /// the fly (one evaluation per simulated day). Memory stays
-  /// O(lanes x days) — nothing proportional to residences x days is ever
-  /// allocated. The default, and bit-identical to `materialized` (pinned by
-  /// the golden-replay suite and the lazy/materialized parity tests).
-  lazy,
-  /// Materialize residences x days DayPlan entries up front (~32 B per
-  /// day per home). Kept as the parity reference and for callers that want
-  /// to inspect or mutate plans directly.
-  materialized,
-};
+/// TimelineDayState -> the traffic layer's DayPlan for one residence: the
+/// conversion apply_timeline's providers apply to every day state.
+/// `static_internal_v6_frac` is the residence's sampled internal_v6_frac
+/// and `static_device_v6_ok_frac` its sampled device_v6_ok_frac (the values
+/// negative plan fields fall back to).
+traffic::DayPlan day_plan_from_state(const TimelineDayState& s,
+                                     const ResidenceTraits& base,
+                                     double static_internal_v6_frac,
+                                     double static_device_v6_ok_frac);
 
-/// Hand the timeline's per-day plans to every sampled config — lazily by
-/// default (see TimelinePlanMode), or materialized on request. A no-op for
-/// an empty timeline, leaving the static fast path untouched. `seed` and
-/// `days` are the scenario's master seed and horizon. Idempotent: each call
-/// recomputes from scratch and clears the other mode's state.
+/// Install on every sampled config a traffic::DayPlanFn that computes the
+/// timeline's day plan on the fly (one evaluation per simulated day), and
+/// returns kStaticDayPlan outside [0, days). Memory stays O(lanes x days):
+/// each provider captures the per-event draws of its residence, never a
+/// residences x days table. A no-op for an empty timeline, leaving the
+/// static fast path untouched. `seed` and `days` are the scenario's master
+/// seed and horizon. Idempotent: each call recomputes from scratch.
 void apply_timeline(SampledFleet& fleet, const Timeline& tl,
-                    std::uint64_t seed, int days,
-                    TimelinePlanMode mode = TimelinePlanMode::lazy);
+                    std::uint64_t seed, int days);
 
 // ------------------------------------------------ shared config parsing
 // Helpers shared by FleetConfig::parse and Timeline::parse_event so the

@@ -45,10 +45,7 @@ bool ResidenceSimulator::is_away(int day) const {
 }
 
 DayPlan ResidenceSimulator::plan(int day) const {
-  if (cfg_.day_plan_fn) return cfg_.day_plan_fn(day);
-  if (day >= 0 && static_cast<size_t>(day) < cfg_.day_plan.size())
-    return cfg_.day_plan[static_cast<size_t>(day)];
-  return kStaticDayPlan;
+  return cfg_.day_plan_fn ? cfg_.day_plan_fn(day) : kStaticDayPlan;
 }
 
 double ResidenceSimulator::presence(int day, int hour) const {

@@ -146,8 +146,8 @@ class ResidenceSimulator {
   /// background-profile services); shared by the batch and tick paths.
   size_t background_service(stats::Rng& rng);
   [[nodiscard]] bool is_away(int day) const;
-  /// The timeline plan governing `day`: the lazy provider when the config
-  /// carries one, else the materialized vector, else kStaticDayPlan.
+  /// The timeline plan governing `day`: the config's provider when it
+  /// carries one, else kStaticDayPlan.
   /// Evaluated once per simulated day by run().
   [[nodiscard]] DayPlan plan(int day) const;
 

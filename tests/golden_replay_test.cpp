@@ -89,11 +89,12 @@ TEST(GoldenReplay, BitIdenticalAcrossLanesAndMatchesGolden) {
   }
 }
 
-// Lazy day-plan evaluation (the engine default) and up-front materialized
-// plans are two routes to the same pure function; a full scenario run must
-// serialize byte-identically either way, at every lane count. One
-// timeline-heavy scenario suffices here — the plan layer itself is compared
-// cell by cell across all scenarios in timeline_test.
+// The engine's lazy day plans and the materialized-plan oracle
+// (testutil::materialize_timeline) are two routes to the same pure
+// function; a full scenario run must serialize byte-identically either
+// way, at every lane count. One timeline-heavy scenario suffices here —
+// the plan layer itself is compared cell by cell across all scenarios in
+// timeline_test.
 TEST(GoldenReplay, LazyAndMaterializedPlansAreByteIdentical) {
   auto catalog = nbv6::traffic::build_paper_catalog();
   // One batch-mode timeline scenario plus the open-loop trio: the lazy and
@@ -110,9 +111,10 @@ TEST(GoldenReplay, LazyAndMaterializedPlansAreByteIdentical) {
     const std::string lazy =
         canonical_serialize(run_scenario(*cfg, catalog, 1));
     ASSERT_FALSE(lazy.empty());
+    const auto planned =
+        nbv6::testutil::plan_scenario_materialized(*cfg, catalog);
     for (int lanes : {1, 4, 8}) {
-      auto run = run_scenario(*cfg, catalog, lanes,
-                              nbv6::engine::TimelinePlanMode::materialized);
+      auto run = nbv6::testutil::run_planned(*cfg, catalog, planned, lanes);
       std::string text = canonical_serialize(run);
       EXPECT_EQ(text, lazy)
           << "materialized plans at " << lanes << " lane(s) diverged from the "

@@ -105,24 +105,21 @@ std::string scenario_stem(const std::string& path) {
 }
 
 engine::SampledFleet plan_scenario(const engine::FleetConfig& cfg,
-                                   const traffic::ServiceCatalog& catalog,
-                                   engine::TimelinePlanMode mode) {
+                                   const traffic::ServiceCatalog& catalog) {
   engine::SampledFleet fleet = engine::sample_stage(cfg, catalog);
-  engine::apply_timeline(fleet, cfg.timeline, cfg.seed, cfg.days, mode);
+  engine::apply_timeline(fleet, cfg.timeline, cfg.seed, cfg.days);
   return fleet;
 }
 
 engine::FleetResult simulate_scenario(const engine::FleetConfig& cfg,
                                       const traffic::ServiceCatalog& catalog,
-                                      engine::ThreadPool* pool,
-                                      engine::TimelinePlanMode mode) {
-  return engine::simulate_fleet(catalog, plan_scenario(cfg, catalog, mode),
-                                pool);
+                                      engine::ThreadPool* pool) {
+  return engine::simulate_fleet(catalog, plan_scenario(cfg, catalog), pool);
 }
 
-ScenarioRun run_scenario(const engine::FleetConfig& cfg,
-                         const traffic::ServiceCatalog& catalog, int lanes,
-                         engine::TimelinePlanMode mode) {
+ScenarioRun run_planned(const engine::FleetConfig& cfg,
+                        const traffic::ServiceCatalog& catalog,
+                        const engine::SampledFleet& planned, int lanes) {
   // The calling thread is one lane; the pool supplies the rest.
   const int n = engine::resolve_lanes(lanes);
   std::unique_ptr<engine::ThreadPool> pool;
@@ -130,7 +127,7 @@ ScenarioRun run_scenario(const engine::FleetConfig& cfg,
 
   ScenarioRun run;
   run.cfg = cfg;
-  run.result = simulate_scenario(cfg, catalog, pool.get(), mode);
+  run.result = engine::simulate_fleet(catalog, planned, pool.get());
   run.report = core::fleet_stats_report(run.result, pool.get());
   // Pre/post panel over the horizon's halves: with timeline events this is
   // the before/after comparison; without, a self-check near the null.
@@ -141,6 +138,78 @@ ScenarioRun run_scenario(const engine::FleetConfig& cfg,
       core::compare_windows(run.result, metrics, pre, post,
                             core::FleetGroup::all, pool.get());
   return run;
+}
+
+ScenarioRun run_scenario(const engine::FleetConfig& cfg,
+                         const traffic::ServiceCatalog& catalog, int lanes) {
+  return run_planned(cfg, catalog, plan_scenario(cfg, catalog), lanes);
+}
+
+// ------------------------------------------------ materialized-plan oracle
+
+void materialize_timeline(engine::SampledFleet& fleet,
+                          const engine::Timeline& tl, std::uint64_t seed,
+                          int days) {
+  for (size_t i = 0; i < fleet.configs.size(); ++i) {
+    traffic::ResidenceConfig& cfg = fleet.configs[i];
+    if (tl.empty()) {
+      cfg.day_plan_fn = nullptr;
+      continue;
+    }
+    const engine::ResidenceTraits& base = fleet.traits[i];
+    std::vector<traffic::DayPlan> plans;
+    for (int day = 0; day < days; ++day)
+      plans.push_back(engine::day_plan_from_state(
+          engine::timeline_day_state(tl, seed, static_cast<int>(i), day, days,
+                                     base),
+          base, cfg.internal_v6_frac, cfg.device_v6_ok_frac));
+    cfg.day_plan_fn = [plans = std::move(plans)](int day) {
+      return day >= 0 && static_cast<size_t>(day) < plans.size()
+                 ? plans[static_cast<size_t>(day)]
+                 : traffic::kStaticDayPlan;
+    };
+  }
+}
+
+engine::SampledFleet plan_scenario_materialized(
+    const engine::FleetConfig& cfg, const traffic::ServiceCatalog& catalog) {
+  engine::SampledFleet fleet = engine::sample_stage(cfg, catalog);
+  materialize_timeline(fleet, cfg.timeline, cfg.seed, cfg.days);
+  return fleet;
+}
+
+std::optional<std::string> check_plan_parity(
+    const engine::FleetConfig& cfg, const traffic::ServiceCatalog& catalog) {
+  const engine::SampledFleet lazy = plan_scenario(cfg, catalog);
+  const engine::SampledFleet mat = plan_scenario_materialized(cfg, catalog);
+
+  auto cell = [](size_t i, int d) {
+    return "residence " + std::to_string(i) + " day " + std::to_string(d);
+  };
+  for (size_t i = 0; i < lazy.configs.size(); ++i) {
+    const auto& lz = lazy.configs[i].day_plan_fn;
+    const auto& mt = mat.configs[i].day_plan_fn;
+    if (cfg.timeline->empty()) {
+      if (lz)
+        return "empty timeline left a plan on residence " + std::to_string(i);
+      continue;
+    }
+    if (!lz) return "no day_plan_fn on residence " + std::to_string(i);
+    for (int d = 0; d < cfg.days; ++d) {
+      const traffic::DayPlan a = lz(d);
+      if (!(a == mt(d)))
+        return "lazy/materialized plan mismatch at " + cell(i, d);
+      // The plan must also be a pure function of the day: a second
+      // evaluation through the lazy closure has no state to vary on.
+      if (!(lz(d) == a)) return "lazy plan not pure at " + cell(i, d);
+    }
+    // Out-of-horizon days fall back to the static plan, as the oracle's
+    // table lookup does.
+    for (int d : {-1, cfg.days.get()})
+      if (!(lz(d) == traffic::kStaticDayPlan))
+        return "lazy plan out-of-horizon fallback broken at " + cell(i, d);
+  }
+  return std::nullopt;
 }
 
 std::string canonical_serialize(const ScenarioRun& run) {
@@ -310,7 +379,7 @@ std::optional<std::string> fuzz_check_scenario(
   auto cfg = engine::FleetConfig::parse(text, &parse_error);
   if (!cfg) return "parse: " + parse_error;  // unreachable after round-trip
 
-  if (auto err = engine::check_plan_parity(*cfg, catalog))
+  if (auto err = check_plan_parity(*cfg, catalog))
     return "plan-parity: " + *err;
 
   // Lane-count invariance and lazy/materialized simulation parity, both
@@ -325,8 +394,8 @@ std::optional<std::string> fuzz_check_scenario(
              "-lane serializations differ\n" + first_diff(base_text, other);
   }
   {
-    const std::string mat = canonical_serialize(run_scenario(
-        *cfg, catalog, 1, engine::TimelinePlanMode::materialized));
+    const std::string mat = canonical_serialize(run_planned(
+        *cfg, catalog, plan_scenario_materialized(*cfg, catalog), 1));
     if (mat != base_text)
       return "mode-parity: lazy vs materialized serializations differ\n" +
              first_diff(base_text, mat);

@@ -9,6 +9,7 @@
 // private copies.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -52,28 +53,53 @@ struct ScenarioRun {
 
 /// The sampled, timeline-planned population of `cfg`: sample_stage, then
 /// apply_timeline — the input of simulate_fleet and stream_fleet.
-engine::SampledFleet plan_scenario(
-    const engine::FleetConfig& cfg, const traffic::ServiceCatalog& catalog,
-    engine::TimelinePlanMode mode = engine::TimelinePlanMode::lazy);
+engine::SampledFleet plan_scenario(const engine::FleetConfig& cfg,
+                                   const traffic::ServiceCatalog& catalog);
 
 /// plan_scenario, then simulate_fleet on `pool` (nullptr = sequential).
-engine::FleetResult simulate_scenario(
-    const engine::FleetConfig& cfg, const traffic::ServiceCatalog& catalog,
-    engine::ThreadPool* pool,
-    engine::TimelinePlanMode mode = engine::TimelinePlanMode::lazy);
+engine::FleetResult simulate_scenario(const engine::FleetConfig& cfg,
+                                      const traffic::ServiceCatalog& catalog,
+                                      engine::ThreadPool* pool);
 
-/// Calls the stage functions in sequence (sample_stage → apply_timeline →
-/// simulate_fleet → fleet_stats_report → compare_windows) on a local pool
-/// of `lanes` lanes, without the pass graph. That makes it an oracle
+/// Simulates the planned population `planned` of `cfg` on a local pool of
+/// `lanes` lanes, then fleet_stats_report and compare_windows, without the
+/// pass graph.
+ScenarioRun run_planned(const engine::FleetConfig& cfg,
+                        const traffic::ServiceCatalog& catalog,
+                        const engine::SampledFleet& planned, int lanes);
+
+/// run_planned on plan_scenario(cfg, catalog): the stage functions in
+/// sequence (sample_stage → apply_timeline → simulate_fleet →
+/// fleet_stats_report → compare_windows). That makes it an oracle
 /// independent of the scheduler: the pipeline and forest byte-diff tests
-/// take their expected text from here. `mode` selects how the timeline
-/// reaches the simulator: lazy per-day evaluation (the default) or
-/// up-front materialized plans. The two must serialize byte-identically —
-/// the parity the golden-replay suite pins.
-ScenarioRun run_scenario(
-    const engine::FleetConfig& cfg, const traffic::ServiceCatalog& catalog,
-    int lanes,
-    engine::TimelinePlanMode mode = engine::TimelinePlanMode::lazy);
+/// take their expected text from here.
+ScenarioRun run_scenario(const engine::FleetConfig& cfg,
+                         const traffic::ServiceCatalog& catalog, int lanes);
+
+// ------------------------------------------------ materialized-plan oracle
+
+/// The parity reference for apply_timeline's lazy day plans. Computes
+/// every (residence, day) plan up front and independently of the lazy
+/// providers: one engine::timeline_day_state call per cell (it re-derives
+/// the event draws on every call), converted by engine::day_plan_from_state.
+/// Installs on each config a day_plan_fn that indexes that table and
+/// returns kStaticDayPlan outside [0, days). Clears the providers for an
+/// empty timeline, as apply_timeline does. Costs residences x days DayPlan
+/// entries.
+void materialize_timeline(engine::SampledFleet& fleet,
+                          const engine::Timeline& tl, std::uint64_t seed,
+                          int days);
+
+/// plan_scenario with materialize_timeline in place of apply_timeline.
+engine::SampledFleet plan_scenario_materialized(
+    const engine::FleetConfig& cfg, const traffic::ServiceCatalog& catalog);
+
+/// Lazy vs materialized day plans, cell by cell: every (residence, day)
+/// plan of plan_scenario must equal plan_scenario_materialized's and come
+/// out the same on a second evaluation, and days -1 and `days` must give
+/// kStaticDayPlan. nullopt on success; otherwise the first failing cell.
+std::optional<std::string> check_plan_parity(
+    const engine::FleetConfig& cfg, const traffic::ServiceCatalog& catalog);
 
 // ------------------------------------------------------------- serializer
 
@@ -90,9 +116,10 @@ std::string canonical_serialize(const ScenarioRun& run);
 /// The full differential check the scenario fuzzer runs on one generated
 /// config text, in order:
 ///   1. parse -> render -> reparse round trip (engine::check_parse_round_trip)
-///   2. lazy vs materialized day plans, cell by cell (engine::check_plan_parity)
+///   2. lazy vs materialized day plans, cell by cell (check_plan_parity)
 ///   3. byte-identical canonical serializations across 1/4/8-lane replays
-///      and across lazy vs materialized simulation of the 1-lane run
+///      and across lazy vs materialized (run_planned on
+///      plan_scenario_materialized) simulation of the 1-lane run
 ///   4. windowed extract_metrics finiteness: over the full horizon, both
 ///      halves, first/middle/last single days, and every event's clamped
 ///      window, no metric may be +-inf, and count/sum metrics (sessions_k,

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "core/server_analysis.h"
 #include "web/classify.h"
 #include "web/crawler.h"
@@ -109,6 +113,65 @@ TEST_F(CrawlerTest, DualStackResourcesPreferV6) {
   ASSERT_GT(dual, 100);
   // Happy Eyeballs: v6 nearly always wins for dual-stack fetches.
   EXPECT_GT(static_cast<double>(used_v6) / dual, 0.98);
+}
+
+// A resource whose A record is gone but whose AAAA survives still loads
+// (over IPv6); only a resource with neither record counts as failed. Every
+// name of the synthetic universe has an A record, so the edit is made on a
+// copy of its zone.
+TEST_F(CrawlerTest, FailedMeansNoAddressInEitherFamily) {
+  // Two resource FQDNs on an ok site's main page that hold their own A
+  // and AAAA records (no CNAME), neither the site's main host nor its
+  // redirect target, so the main page still loads.
+  std::uint32_t site_index = 0;
+  std::vector<std::uint32_t> picked;
+  for (std::uint32_t i = 0; i < universe_.sites().size() && picked.size() < 2;
+       ++i) {
+    const Site& site = universe_.sites()[i];
+    if (universe_.fate(site, Epoch::jul2025) != SiteFate::ok) continue;
+    picked.clear();
+    site_index = i;
+    for (const auto& ref : site.pages[0].resources) {
+      if (ref.fqdn == site.main_fqdn || ref.fqdn == site.redirect_to ||
+          std::find(picked.begin(), picked.end(), ref.fqdn) != picked.end())
+        continue;
+      const std::string& name = universe_.fqdns()[ref.fqdn].name;
+      if (zone_.cname(name).empty() && !zone_.a_records(name).empty() &&
+          !zone_.aaaa_records(name).empty())
+        picked.push_back(ref.fqdn);
+      if (picked.size() == 2) break;
+    }
+  }
+  ASSERT_EQ(picked.size(), 2u);
+  const std::string& v6_only = universe_.fqdns()[picked[0]].name;
+  const std::string& dark = universe_.fqdns()[picked[1]].name;
+
+  dns::ZoneDb zone = zone_;
+  ASSERT_GT(zone.remove(v6_only, dns::RecordType::a), 0u);
+  ASSERT_GT(zone.remove(dark, dns::RecordType::a), 0u);
+  ASSERT_GT(zone.remove(dark, dns::RecordType::aaaa), 0u);
+  const Crawler crawler(universe_, zone, Epoch::jul2025);
+
+  stats::Rng rng(11);
+  const SiteCrawl crawl = crawler.crawl(site_index, rng);
+  ASSERT_EQ(crawl.fate, SiteFate::ok);
+  int seen_v6_only = 0, seen_dark = 0;
+  for (const auto& r : crawl.resources) {
+    if (r.fqdn == picked[0]) {
+      ++seen_v6_only;
+      EXPECT_FALSE(r.has_a);
+      EXPECT_TRUE(r.has_aaaa);
+      EXPECT_FALSE(r.failed);
+      EXPECT_EQ(r.used, net::Family::v6);
+    } else if (r.fqdn == picked[1]) {
+      ++seen_dark;
+      EXPECT_FALSE(r.has_a);
+      EXPECT_FALSE(r.has_aaaa);
+      EXPECT_TRUE(r.failed);
+    }
+  }
+  EXPECT_GT(seen_v6_only, 0);
+  EXPECT_GT(seen_dark, 0);
 }
 
 // ------------------------------------------------------------ classify
