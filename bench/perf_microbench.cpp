@@ -8,6 +8,8 @@
 #include <vector>
 
 #include "cloud/providers.h"
+#include "core/cloud_analysis.h"
+#include "core/server_analysis.h"
 #include "dns/resolver.h"
 #include "engine/flat_conntrack.h"
 #include "engine/fleet.h"
@@ -105,7 +107,7 @@ void BM_DnsResolveChain(benchmark::State& state) {
 }
 BENCHMARK(BM_DnsResolveChain);
 
-// The whole crawl of a 2,000-site universe, facts-table construction
+// The whole crawl of a 2,000-site universe, FqdnTable construction
 // included (each FQDN resolved once over both families, its eTLD+1
 // interned), then every site's pages; items = fetched resources.
 void BM_CrawlAll(benchmark::State& state) {
@@ -125,6 +127,25 @@ void BM_CrawlAll(benchmark::State& state) {
   state.SetItemsProcessed(fetches);
 }
 BENCHMARK(BM_CrawlAll)->Unit(benchmark::kMillisecond);
+
+// The cloud records of a 2,000-site survey: every observed FQDN to a
+// DomainRecord (first A and AAAA, CNAME terminal, eTLD+1). The survey runs
+// once, outside the loop; items = records.
+void BM_BuildDomainRecords(benchmark::State& state) {
+  const cloud::ProviderCatalog providers;
+  web::UniverseConfig cfg;
+  cfg.site_count = 2000;
+  const web::Universe universe(cfg, providers);
+  const auto survey = core::run_server_survey(universe, web::Epoch::jul2025, 7);
+  std::int64_t records = 0;
+  for (auto _ : state) {
+    auto built = core::build_domain_records(universe, survey);
+    records += static_cast<std::int64_t>(built.size());
+    benchmark::DoNotOptimize(built);
+  }
+  state.SetItemsProcessed(records);
+}
+BENCHMARK(BM_BuildDomainRecords)->Unit(benchmark::kMillisecond);
 
 // eTLD+1 of canonical hosts built around the built-in rules (wildcard and
 // exception rules included): the per-FQDN PSL query of the crawl and of

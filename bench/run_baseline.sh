@@ -23,7 +23,7 @@
 # the committed baseline; a missing previous baseline or python3 fails the
 # gate rather than silently passing. Extra benchmark arguments can be
 # forwarded via NBV6_BENCH_ARGS (e.g.
-# NBV6_BENCH_ARGS=--benchmark_min_time=0.01s for a smoke run).
+# NBV6_BENCH_ARGS=--benchmark_min_time=0.01 for a smoke run).
 set -euo pipefail
 
 CHECK=${NBV6_BENCH_CHECK:-0}

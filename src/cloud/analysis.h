@@ -18,7 +18,6 @@
 //     (Fig. 12).
 #pragma once
 
-#include <functional>
 #include <map>
 #include <optional>
 #include <span>
@@ -26,7 +25,6 @@
 #include <vector>
 
 #include "cloud/providers.h"
-#include "dns/resolver.h"
 #include "net/ip.h"
 #include "stats/wilcoxon.h"
 
@@ -43,13 +41,6 @@ struct DomainRecord {
   [[nodiscard]] bool has_a() const { return a_addr.has_value(); }
   [[nodiscard]] bool has_aaaa() const { return aaaa_addr.has_value(); }
 };
-
-/// Resolve `names` against `resolver` into DomainRecords. `etld1_of` maps a
-/// hostname to its registrable domain (keeps this module independent of
-/// the PSL implementation). Unresolvable names are dropped.
-std::vector<DomainRecord> collect_domain_records(
-    const dns::Resolver& resolver, std::span<const std::string> names,
-    const std::function<std::string(std::string_view)>& etld1_of);
 
 struct ProviderBreakdownRow {
   std::string org;

@@ -1,19 +1,47 @@
 #include "core/cloud_analysis.h"
 
-#include "dns/resolver.h"
+#include <optional>
+#include <stdexcept>
+#include <utility>
+
+#include "dns/zone.h"
+#include "web/fqdn_table.h"
 
 namespace nbv6::core {
 
 std::vector<cloud::DomainRecord> build_domain_records(
     const web::Universe& universe, const ServerSurvey& survey) {
-  auto names = observed_fqdn_names(universe, survey);
-  auto zone = universe.build_zone(survey.epoch);
-  dns::Resolver resolver(zone);
-  const auto& psl = universe.psl();
-  return cloud::collect_domain_records(
-      resolver, names, [&psl](std::string_view host) {
-        return psl.registrable_domain(host).value_or(std::string(host));
-      });
+  std::optional<web::FqdnTable> own;
+  const web::FqdnTable* table = survey.fqdn_table.get();
+  if (table == nullptr) {
+    own.emplace(universe, universe.build_zone(survey.epoch), survey.epoch);
+    table = &*own;
+  } else if (!table->built_for(universe, survey.epoch)) {
+    throw std::invalid_argument(
+        "build_domain_records: the survey's FQDN table was built for "
+        "another universe or epoch");
+  }
+
+  const auto ids = observed_fqdn_ids(universe, survey);
+  std::vector<cloud::DomainRecord> out;
+  out.reserve(ids.size());
+  for (std::uint32_t id : ids) {
+    const web::FqdnTable::Facts& facts = table->facts(id);
+    if (!facts.reachable()) continue;
+    const web::FqdnTable::Answer& answer = table->answer(id);
+    cloud::DomainRecord r;
+    r.fqdn = dns::canonicalize(universe.fqdns()[id].name);
+    r.etld1 = facts.site_id == web::FqdnTable::kNone
+                  ? r.fqdn
+                  : std::string(table->etld1(facts.site_id));
+    if (facts.has_a) r.a_addr = answer.a;
+    if (facts.has_aaaa) r.aaaa_addr = answer.aaaa;
+    r.cname_terminal = answer.terminal == web::FqdnTable::kNone
+                           ? r.fqdn
+                           : std::string(table->cname_terminal(answer.terminal));
+    out.push_back(std::move(r));
+  }
+  return out;
 }
 
 std::map<std::string, std::string> paper_org_merge_map() {

@@ -1,5 +1,6 @@
 // Cloud-side adoption analysis (§5): glue from a server survey's observed
-// FQDNs to the cloud attribution pipeline.
+// FQDNs to the cloud attribution pipeline. The records are read from the
+// survey's web::FqdnTable, the DNS/PSL view its crawl already resolved.
 #pragma once
 
 #include <map>
@@ -12,8 +13,13 @@
 
 namespace nbv6::core {
 
-/// Resolve every FQDN a survey observed and build cloud DomainRecords
-/// (addresses, CNAME terminals, eTLD+1 via the universe's PSL).
+/// One cloud DomainRecord per reachable FQDN the survey observed, in
+/// observed_fqdn_ids order: canonical name, eTLD+1 (the name itself when
+/// it has none), first A and AAAA address, CNAME terminal (the name itself
+/// when chain-free). Read from the survey's FqdnTable: no zone, no resolve,
+/// no PSL. A survey without a table (assembled by hand) gets one built from
+/// `universe`'s zone at the survey's epoch. Throws std::invalid_argument
+/// when the survey's table was built for another universe or epoch.
 std::vector<cloud::DomainRecord> build_domain_records(
     const web::Universe& universe, const ServerSurvey& survey);
 

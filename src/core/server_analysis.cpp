@@ -1,7 +1,6 @@
 #include "core/server_analysis.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 namespace nbv6::core {
 
@@ -9,8 +8,10 @@ ServerSurvey run_server_survey(const web::Universe& universe, web::Epoch epoch,
                                std::uint64_t seed, web::CrawlerConfig cfg) {
   ServerSurvey s;
   s.epoch = epoch;
-  auto zone = universe.build_zone(epoch);
-  web::Crawler crawler(universe, zone, epoch, cfg);
+  // The zone is a temporary: only the table outlives this statement.
+  s.fqdn_table = std::make_shared<const web::FqdnTable>(
+      universe, universe.build_zone(epoch), epoch);
+  const web::Crawler crawler(s.fqdn_table, cfg);
   s.crawls = crawler.crawl_all(seed);
   s.classifications = web::classify_all(s.crawls);
   s.counts = web::tabulate(s.classifications);
@@ -40,8 +41,8 @@ std::vector<TopNBreakdown> topn_breakdown(const web::Universe& universe,
 
 LinkClickAblation link_click_ablation(const web::Universe& universe,
                                       web::Epoch epoch, std::uint64_t seed) {
-  auto zone = universe.build_zone(epoch);
-  web::Crawler crawler(universe, zone, epoch);
+  const web::Crawler crawler(std::make_shared<const web::FqdnTable>(
+      universe, universe.build_zone(epoch), epoch));
 
   std::vector<web::SiteClassification> with_clicks;
   std::vector<web::SiteClassification> main_only;
@@ -60,13 +61,14 @@ LinkClickAblation link_click_ablation(const web::Universe& universe,
   return a;
 }
 
-std::vector<std::string> observed_fqdn_names(const web::Universe& universe,
+std::vector<std::uint32_t> observed_fqdn_ids(const web::Universe& universe,
                                              const ServerSurvey& survey) {
-  std::unordered_set<std::uint32_t> seen;
-  std::vector<std::string> out;
+  std::vector<bool> seen(universe.fqdns().size());
+  std::vector<std::uint32_t> out;
   auto push = [&](std::uint32_t fqdn) {
-    if (seen.insert(fqdn).second)
-      out.push_back(universe.fqdns()[fqdn].name);
+    if (seen[fqdn]) return;
+    seen[fqdn] = true;
+    out.push_back(fqdn);
   };
   for (const auto& crawl : survey.crawls) {
     if (crawl.fate != web::SiteFate::ok) continue;
@@ -75,6 +77,16 @@ std::vector<std::string> observed_fqdn_names(const web::Universe& universe,
     // The main host itself is part of the observed FQDN population.
     push(universe.sites()[crawl.site_index].main_fqdn);
   }
+  return out;
+}
+
+std::vector<std::string> observed_fqdn_names(const web::Universe& universe,
+                                             const ServerSurvey& survey) {
+  const auto ids = observed_fqdn_ids(universe, survey);
+  std::vector<std::string> out;
+  out.reserve(ids.size());
+  for (std::uint32_t fqdn : ids)
+    out.push_back(universe.fqdns()[fqdn].name);
   return out;
 }
 

@@ -1,32 +1,15 @@
 #include "web/crawler.h"
 
-#include <string>
-#include <unordered_map>
 #include <utility>
-
-#include "dns/resolver.h"
 
 namespace nbv6::web {
 
 Crawler::Crawler(const Universe& universe, const dns::ZoneDb& zone,
                  Epoch epoch, CrawlerConfig cfg)
-    : universe_(&universe), epoch_(epoch), cfg_(cfg) {
-  const dns::Resolver resolver(zone);
-  const PublicSuffixList& psl = universe.psl();
-  std::unordered_map<std::string, std::uint32_t> site_ids;
-  facts_.reserve(universe.fqdns().size());
-  for (const Fqdn& f : universe.fqdns()) {
-    const auto dual = resolver.resolve_dual(f.name);
-    FqdnFacts facts;
-    facts.has_a = dual.has_v4();
-    facts.has_aaaa = dual.has_v6();
-    if (auto etld1 = psl.registrable_domain(f.name)) {
-      const auto next = static_cast<std::uint32_t>(site_ids.size());
-      facts.site_id = site_ids.try_emplace(std::move(*etld1), next).first->second;
-    }
-    facts_.push_back(facts);
-  }
-}
+    : Crawler(std::make_shared<const FqdnTable>(universe, zone, epoch), cfg) {}
+
+Crawler::Crawler(std::shared_ptr<const FqdnTable> table, CrawlerConfig cfg)
+    : table_(std::move(table)), cfg_(cfg) {}
 
 /// Insert-only open-addressing set of (fqdn, type) keys, sized once for a
 /// site's worst case (every resource of every page distinct) so it never
@@ -56,7 +39,7 @@ class Crawler::SeenSet {
   std::vector<std::uint64_t> slots_;
 };
 
-net::Family Crawler::race(const FqdnFacts& f, stats::Rng& rng) const {
+net::Family Crawler::race(const FqdnTable::Facts& f, stats::Rng& rng) const {
   if (f.has_a && f.has_aaaa)
     return rng.chance(cfg_.he_v4_win_prob) ? net::Family::v4 : net::Family::v6;
   return f.has_aaaa ? net::Family::v6 : net::Family::v4;
@@ -72,13 +55,14 @@ void Crawler::load_page(const Page& page, std::uint32_t main_site_id,
                               static_cast<std::uint64_t>(ref.type);
     if (!seen.insert(key)) continue;
 
-    const FqdnFacts& f = facts_[ref.fqdn];
+    const FqdnTable::Facts& f = table_->facts(ref.fqdn);
     ResourceObservation obs;
     obs.fqdn = ref.fqdn;
     obs.type = ref.type;
     // Same eTLD+1 as the main host; a name without one is never
     // first-party.
-    obs.first_party = f.site_id != kNoSite && f.site_id == main_site_id;
+    obs.first_party =
+        f.site_id != FqdnTable::kNone && f.site_id == main_site_id;
     obs.has_a = f.has_a;
     obs.has_aaaa = f.has_aaaa;
     obs.failed = !f.reachable();
@@ -93,14 +77,15 @@ void Crawler::load_page(const Page& page, std::uint32_t main_site_id,
 
 SiteCrawl Crawler::crawl_impl(std::uint32_t site_index, stats::Rng& rng,
                               int link_clicks) const {
-  const Site& site = universe_->sites()[site_index];
+  const Universe& universe = table_->universe();
+  const Site& site = universe.sites()[site_index];
   SiteCrawl out;
   out.site_index = site_index;
-  out.fate = universe_->fate(site, epoch_);
+  out.fate = universe.fate(site, table_->epoch());
 
   // The main domain's DNS answer. NXDOMAIN sites are unregistered, so the
   // failure is discovered through DNS exactly as a real crawler would.
-  if (!facts_[site.main_fqdn].reachable()) {
+  if (!table_->facts(site.main_fqdn).reachable()) {
     out.fate = SiteFate::nxdomain;
     return out;
   }
@@ -113,15 +98,15 @@ SiteCrawl Crawler::crawl_impl(std::uint32_t site_index, stats::Rng& rng,
   // Follow the main-page redirect; classification applies to the final
   // page of the redirect chain (§4.2).
   const std::uint32_t effective_main = site.redirect_to.value_or(site.main_fqdn);
-  const FqdnFacts& main = facts_[effective_main];
+  const FqdnTable::Facts& main = table_->facts(effective_main);
   if (!main.reachable()) {
     out.fate = SiteFate::other_failure;  // broken redirect target
     return out;
   }
-  out.main_host = universe_->fqdns()[effective_main].name;
+  out.main_host = universe.fqdns()[effective_main].name;
   out.main_has_a = main.has_a;
   out.main_has_aaaa = main.has_aaaa;
-  out.unknown_primary = main.site_id == kNoSite;
+  out.unknown_primary = main.site_id == FqdnTable::kNone;
   out.main_used = race(main, rng);
 
   // Load the main page.
@@ -155,8 +140,10 @@ SiteCrawl Crawler::crawl_main_page_only(std::uint32_t site_index,
 
 std::vector<SiteCrawl> Crawler::crawl_all(std::uint64_t seed) const {
   std::vector<SiteCrawl> out;
-  out.reserve(universe_->sites().size());
-  for (std::uint32_t i = 0; i < universe_->sites().size(); ++i) {
+  const auto sites =
+      static_cast<std::uint32_t>(table_->universe().sites().size());
+  out.reserve(sites);
+  for (std::uint32_t i = 0; i < sites; ++i) {
     stats::Rng rng(seed ^ (0x9e3779b97f4a7c15ull * (i + 1)));
     out.push_back(crawl(i, rng));
   }

@@ -8,18 +8,22 @@
 // FQDN, resource type, party, DNS outcome per family, and which family the
 // Happy Eyeballs race actually used.
 //
-// The crawl is table-driven: construction resolves every FQDN of the
-// universe once, over both families, and interns its eTLD+1 (via the
-// universe's PSL); crawling a site then only reads that table. The web is
-// still observed purely through DNS and the PSL, just not once per fetch.
+// The crawl is table-driven: it reads a web::FqdnTable, which resolves
+// every FQDN of the universe once, over both families, and interns its
+// eTLD+1 (via the universe's PSL); crawling a site only reads that table.
+// The web is still observed purely through DNS and the PSL, just not once
+// per fetch. The table outlives the crawl: run_server_survey keeps it in
+// the survey, and the cloud records of §5 are built from it.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "dns/zone.h"
 #include "stats/rng.h"
+#include "web/fqdn_table.h"
 #include "web/universe.h"
 
 namespace nbv6::web {
@@ -66,11 +70,16 @@ struct SiteCrawl {
 
 class Crawler {
  public:
-  /// Resolves every FQDN of `universe` against `zone`. The zone is read
-  /// only here: the crawler works on this snapshot, so later edits to the
-  /// zone are not seen (build a new Crawler to observe them).
+  /// Resolves every FQDN of `universe` against `zone` into a fresh
+  /// FqdnTable. The zone is read only here: the crawler works on this
+  /// snapshot, so later edits to the zone are not seen (build a new
+  /// Crawler to observe them).
   Crawler(const Universe& universe, const dns::ZoneDb& zone, Epoch epoch,
           CrawlerConfig cfg = {});
+
+  /// Crawls the table's universe at the table's epoch.
+  explicit Crawler(std::shared_ptr<const FqdnTable> table,
+                   CrawlerConfig cfg = {});
 
   /// Crawl one site. `rng` drives link selection and Happy Eyeballs.
   /// Const and free of shared mutable state: safe to call concurrently.
@@ -86,16 +95,6 @@ class Crawler {
                                                stats::Rng& rng) const;
 
  private:
-  static constexpr std::uint32_t kNoSite = 0xffffffffu;
-  /// What DNS and the PSL say about one FQDN.
-  struct FqdnFacts {
-    bool has_a = false;
-    bool has_aaaa = false;
-    /// Interned eTLD+1; kNoSite when the name has no registrable domain.
-    std::uint32_t site_id = kNoSite;
-    [[nodiscard]] bool reachable() const { return has_a || has_aaaa; }
-  };
-
   SiteCrawl crawl_impl(std::uint32_t site_index, stats::Rng& rng,
                        int link_clicks) const;
   class SeenSet;
@@ -103,13 +102,11 @@ class Crawler {
   void load_page(const Page& page, std::uint32_t main_site_id, SeenSet& seen,
                  SiteCrawl& out, stats::Rng& rng) const;
   /// Happy Eyeballs: a dual-stack fetch uses v6 unless v4 wins the race.
-  [[nodiscard]] net::Family race(const FqdnFacts& f, stats::Rng& rng) const;
+  [[nodiscard]] net::Family race(const FqdnTable::Facts& f,
+                                 stats::Rng& rng) const;
 
-  const Universe* universe_;
-  Epoch epoch_;
+  std::shared_ptr<const FqdnTable> table_;
   CrawlerConfig cfg_;
-  /// Indexed by FQDN id.
-  std::vector<FqdnFacts> facts_;
 };
 
 }  // namespace nbv6::web

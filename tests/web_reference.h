@@ -10,15 +10,26 @@
 //     dedup set on every page, exactly as the crawl ran before it became
 //     table-driven. web::Crawler must reproduce its SiteCrawls field for
 //     field.
+//   - observed_fqdn_names / collect_domain_records / build_domain_records:
+//     the cloud records stage as it ran before it read the survey's
+//     FqdnTable. The observed names are collected through an
+//     unordered_set, the epoch's zone is built afresh, every name is
+//     resolved with resolve_dual and its eTLD+1 comes from a PSL callback.
+//     core::build_domain_records must reproduce its records in order and
+//     field for field.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_set>
 #include <vector>
 
+#include "cloud/analysis.h"
+#include "core/server_analysis.h"
 #include "dns/resolver.h"
 #include "dns/zone.h"
 #include "stats/rng.h"
@@ -228,5 +239,58 @@ class ReferenceCrawler {
   web::Epoch epoch_;
   web::CrawlerConfig cfg_;
 };
+
+/// All distinct resource+main FQDN names a survey observed, first-seen
+/// order.
+inline std::vector<std::string> observed_fqdn_names(
+    const web::Universe& universe, const core::ServerSurvey& survey) {
+  std::unordered_set<std::uint32_t> seen;
+  std::vector<std::string> out;
+  auto push = [&](std::uint32_t fqdn) {
+    if (seen.insert(fqdn).second) out.push_back(universe.fqdns()[fqdn].name);
+  };
+  for (const auto& crawl : survey.crawls) {
+    if (crawl.fate != web::SiteFate::ok) continue;
+    for (const auto& r : crawl.resources)
+      if (!r.failed) push(r.fqdn);
+    push(universe.sites()[crawl.site_index].main_fqdn);
+  }
+  return out;
+}
+
+/// Resolve `names` against `resolver` into DomainRecords. `etld1_of` maps a
+/// hostname to its registrable domain. Unresolvable names are dropped.
+inline std::vector<cloud::DomainRecord> collect_domain_records(
+    const dns::Resolver& resolver, std::span<const std::string> names,
+    const std::function<std::string(std::string_view)>& etld1_of) {
+  std::vector<cloud::DomainRecord> out;
+  out.reserve(names.size());
+  for (const auto& name : names) {
+    auto dual = resolver.resolve_dual(name);
+    if (!dual.reachable()) continue;
+    cloud::DomainRecord r;
+    r.fqdn = dns::canonicalize(name);
+    r.etld1 = etld1_of(r.fqdn);
+    if (dual.has_v4()) r.a_addr = dual.v4.addresses.front();
+    if (dual.has_v6()) r.aaaa_addr = dual.v6.addresses.front();
+    r.cname_terminal = dual.has_v4() ? dual.v4.terminal() : dual.v6.terminal();
+    out.push_back(std::move(r));
+  }
+  return out;
+}
+
+/// Observed names -> fresh zone of the survey's epoch -> resolve_dual ->
+/// PSL.
+inline std::vector<cloud::DomainRecord> build_domain_records(
+    const web::Universe& universe, const core::ServerSurvey& survey) {
+  const auto names = reference::observed_fqdn_names(universe, survey);
+  const dns::ZoneDb zone = universe.build_zone(survey.epoch);
+  const dns::Resolver resolver(zone);
+  const auto& psl = universe.psl();
+  return reference::collect_domain_records(
+      resolver, names, [&psl](std::string_view host) {
+        return psl.registrable_domain(host).value_or(std::string(host));
+      });
+}
 
 }  // namespace nbv6::reference
