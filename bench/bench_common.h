@@ -3,9 +3,11 @@
 // Every table and figure of the paper has its own binary under bench/.
 // Each prints the same rows/series the paper reports, against the synthetic
 // substrate, so the *shape* of every result can be compared directly with
-// the published numbers (see EXPERIMENTS.md for the side-by-side).
+// the published numbers. A generated paper-vs-substrate table and checked
+// shape claims are open work: ROADMAP.md, open item 5.
 //
-// Scale knobs via environment:
+// Scale knobs via environment (non-negative integers; anything else exits
+// with status 2 and names the variable):
 //   NBV6_SITES  web universe size   (default 100000, the paper's scale)
 //   NBV6_DAYS   residence days      (default 274, Nov 2024 - Aug 2025)
 #pragma once
@@ -22,6 +24,7 @@
 #include "cloud/providers.h"
 #include "core/client_analysis.h"
 #include "engine/fleet.h"
+#include "engine/timeline.h"
 #include "core/server_analysis.h"
 #include "flowmon/monitor.h"
 #include "stats/descriptive.h"
@@ -32,14 +35,30 @@
 
 namespace nbv6::bench {
 
-inline int env_int(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::atoi(v) : fallback;
+[[noreturn]] inline void bad_env_knob(const char* name, const char* value) {
+  std::fprintf(stderr, "%s='%s': expected a non-negative integer\n", name,
+               value);
+  std::exit(2);
 }
 
+/// Scale knob `name` from the environment, `fallback` when unset. A value
+/// that is not a whole non-negative int (junk, trailing text, a sign, out
+/// of range) exits with status 2 instead of running a silently wrong size.
+inline int env_int(const char* name, int fallback) {
+  const char* v = std::getenv(name);
+  if (v == nullptr) return fallback;
+  int out = 0;
+  if (!engine::cfgparse::parse_int(v, out) || out < 0) bad_env_knob(name, v);
+  return out;
+}
+
+/// env_int for 64-bit knobs.
 inline std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
   const char* v = std::getenv(name);
-  return v != nullptr ? std::strtoull(v, nullptr, 10) : fallback;
+  if (v == nullptr) return fallback;
+  std::uint64_t out = 0;
+  if (!engine::cfgparse::parse_u64(v, out)) bad_env_knob(name, v);
+  return out;
 }
 
 inline void section(const std::string& title) {

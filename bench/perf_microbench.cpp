@@ -9,10 +9,12 @@
 
 #include "cloud/providers.h"
 #include "core/cloud_analysis.h"
+#include "core/scenario_pipeline.h"
 #include "core/server_analysis.h"
 #include "dns/resolver.h"
 #include "engine/flat_conntrack.h"
 #include "engine/fleet.h"
+#include "engine/pipeline.h"
 #include "engine/run_spec.h"
 #include "engine/thread_pool.h"
 #include "engine/timeline.h"
@@ -340,6 +342,49 @@ void BM_FirehoseStream(benchmark::State& state) {
       static_cast<double>(flows), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_FirehoseStream)->Arg(16)->Arg(64)->UseRealTime()->Unit(benchmark::kMillisecond);
+
+// The what-if forest of perfbench's fleet workload: 7 variants of a
+// 64-home x 28-day base (seed 1), variant v > 0 adding a cpe_fix from day 7
+// that repairs v/7 of the broken-IPv6 homes. Each iteration runs the six
+// scenario passes of every variant from a cold PassCache through
+// ForestScheduler::run, 3 workers, scenario transients released.
+void BM_WhatIfForest(benchmark::State& state) {
+  const auto catalog = traffic::build_paper_catalog();
+  const int variants = 7;
+  std::vector<engine::FleetConfig> cfgs;
+  for (int v = 0; v < variants; ++v) {
+    engine::FleetConfig cfg;
+    cfg.residences = 64;
+    cfg.days = 28;
+    cfg.seed = 1;
+    if (v > 0) {
+      engine::TimelineEvent fix;
+      fix.kind = engine::TimelineEventKind::cpe_fix;
+      fix.start_day = cfg.days / 4;
+      fix.end_day = cfg.days - 1;
+      fix.fraction = static_cast<double>(v) / variants;
+      cfg.timeline->events.push_back(fix);
+    }
+    cfgs.push_back(std::move(cfg));
+  }
+  std::vector<engine::Pipeline> pipes;
+  pipes.reserve(cfgs.size());
+  for (const auto& cfg : cfgs)
+    pipes.push_back(core::make_scenario_pipeline(cfg, catalog));
+  std::vector<engine::Pipeline*> ptrs;
+  for (auto& p : pipes) ptrs.push_back(&p);
+  engine::ThreadPool pool(3);
+  engine::ForestScheduler::Options opts;
+  opts.pool = &pool;
+  opts.workers = 3;
+  opts.transient = core::scenario_transient_resources();
+  for (auto _ : state) {
+    engine::PassCache cache;  // cold, every iteration
+    auto stats = engine::ForestScheduler::run(ptrs, cache, opts);
+    benchmark::DoNotOptimize(stats);
+  }
+}
+BENCHMARK(BM_WhatIfForest)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 void BM_WilcoxonExact(benchmark::State& state) {
   std::vector<double> d;

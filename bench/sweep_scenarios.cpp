@@ -12,6 +12,13 @@
 // first variant then demonstrates the fully-cached fixpoint (zero
 // executed passes).
 //
+// Below the pass level, the simulate passes share the cache's per-home
+// shard store (engine/shard_store.h): a home whose key (config plus day
+// plans) an earlier variant already simulated is copied, not re-simulated.
+// The sweep counts the distinct home keys of the whole forest itself and
+// exits non-zero unless the serial loop, and the overlapped forest, each
+// simulated exactly that many homes.
+//
 // With --workers > 1 (or --overlap) the driver re-runs the same forest
 // overlapped: engine::ForestScheduler merges all N pipelines into one
 // frontier and dispatches independent passes from different variants
@@ -61,6 +68,16 @@ std::string serialize_variant(const engine::FleetConfig& cfg,
   run.report = pipe.output<core::FleetStatsReport>("stats_report");
   run.window_panel = pipe.output<core::GroupComparison>("window_panel");
   return testutil::canonical_serialize(run);
+}
+
+bool check_homes(const char* run, std::size_t simulated,
+                 std::size_t home_keys) {
+  if (simulated == home_keys) return true;
+  std::fprintf(stderr,
+               "FAIL: %s simulated %zu homes for %zu distinct home keys "
+               "(expected each key exactly once — shard reuse is broken)\n",
+               run, simulated, home_keys);
+  return false;
 }
 
 }  // namespace
@@ -158,10 +175,13 @@ int main(int argc, char** argv) {
   // ------------------------------------------------------ serial reference
   // One pipeline per variant, one cache for the forest, run to completion
   // in variant order — the reference the overlapped pass is diffed against.
+  const std::size_t home_keys = testutil::distinct_home_keys(cfgs, catalog);
   engine::PassCache cache;
   std::vector<std::unique_ptr<engine::Pipeline>> pipes;
   std::size_t executed = 0;
   std::size_t cached = 0;
+  std::size_t homes_simulated = 0;
+  std::size_t homes_reused = 0;
   const auto t0 = std::chrono::steady_clock::now();
   for (int v = 0; v < variants; ++v) {
     pipes.push_back(std::make_unique<engine::Pipeline>(
@@ -169,6 +189,8 @@ int main(int argc, char** argv) {
     const auto stats = pipes.back()->run(&cache, pool.get());
     executed += stats.executed;
     cached += stats.cached;
+    homes_simulated += stats.homes_simulated;
+    homes_reused += stats.homes_reused;
   }
   const auto t1 = std::chrono::steady_clock::now();
   const double serial_secs = std::chrono::duration<double>(t1 - t0).count();
@@ -194,6 +216,7 @@ int main(int argc, char** argv) {
                  warm.executed, sinks);
     return 1;
   }
+  if (!check_homes("serial forest", homes_simulated, home_keys)) return 1;
 
   // Spot equivalence: the pipelined base result matches direct stage calls
   // on the horizon totals (byte-level identity across lane counts is
@@ -216,8 +239,11 @@ int main(int argc, char** argv) {
 
   std::printf(
       "  base sampled once; %zu passes executed, %zu served from cache\n"
+      "  homes: %zu simulated (= distinct home keys), %zu reused from the "
+      "shard store\n"
       "  warm re-run: %zu executed / %zu cached; cache holds %zu results\n",
-      executed, cached, warm.executed, warm.cached, cache.size());
+      executed, cached, homes_simulated, homes_reused, warm.executed,
+      warm.cached, cache.size());
 
   // ----------------------------------------------------- overlapped forest
   // Fresh pipelines, fresh cache: the overlapped run must reproduce the
@@ -257,6 +283,8 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(forest_sample_execs));
       return 1;
     }
+    if (!check_homes("overlapped forest", fstats.homes_simulated, home_keys))
+      return 1;
     for (int v = 0; v < variants; ++v) {
       const std::string got = serialize_variant(cfgs[v], *forest_pipes[v]);
       if (got != serial_canon[v]) {
@@ -269,9 +297,11 @@ int main(int argc, char** argv) {
     std::printf(
         "  overlapped: %zu executed / %zu cached / %zu deduped; "
         "%zu transients released, peak residency %zu\n"
+        "  overlapped homes: %zu simulated, %zu reused\n"
         "  serial %.3fs vs overlapped %.3fs — outputs byte-identical\n",
         fstats.executed, fstats.cached, fstats.deduped, fstats.released,
-        fstats.peak_resident, serial_secs, overlap_secs);
+        fstats.peak_resident, fstats.homes_simulated, fstats.homes_reused,
+        serial_secs, overlap_secs);
   }
 
   std::printf(
@@ -279,11 +309,15 @@ int main(int argc, char** argv) {
       "passes_executed=%zu passes_cached=%zu warm_executed=%zu "
       "cache_entries=%zu seconds=%.6f overlap_seconds=%.6f "
       "overlap_sample_executions=%llu overlap_deduped=%zu "
-      "peak_pass_residency=%zu released=%zu identical=%d\n",
+      "peak_pass_residency=%zu released=%zu identical=%d home_keys=%zu "
+      "homes_simulated=%zu homes_reused=%zu overlap_homes_simulated=%zu "
+      "overlap_homes_reused=%zu\n",
       variants, lanes, workers,
       static_cast<unsigned long long>(sample_execs), executed, cached,
       warm.executed, cache.size(), serial_secs, overlap_secs,
       static_cast<unsigned long long>(forest_sample_execs), fstats.deduped,
-      fstats.peak_resident, fstats.released, overlap ? 1 : 0);
+      fstats.peak_resident, fstats.released, overlap ? 1 : 0, home_keys,
+      homes_simulated, homes_reused, fstats.homes_simulated,
+      fstats.homes_reused);
   return 0;
 }

@@ -4,9 +4,11 @@
 //
 // Both runs execute as pipelines over one shared pass cache. The variant
 // differs from the base only in its timeline slice, so its "sample" pass
-// is a cache hit: the population is sampled once, the simulation and
-// statistics re-run only for the changed world. The closing panel puts
-// the two pre/post window comparisons side by side.
+// is a cache hit: the population is sampled once. Its simulate pass
+// re-simulates only the homes the fix changes (the broken-IPv6 homes it
+// repairs) and copies every other home's shard from the cache's per-home
+// shard store; the statistics re-run over the whole changed fleet. The
+// closing panel puts the two pre/post window comparisons side by side.
 //
 //   ./build/example_scenario_whatif [scenario.cfg]
 #include <cstdio>
@@ -50,12 +52,17 @@ int main(int argc, char** argv) {
   engine::Pipeline whatif_pipe = core::make_scenario_pipeline(whatif, catalog);
   auto whatif_stats = whatif_pipe.run(&cache);
 
-  std::printf("base run: %zu passes executed\n", base_stats.executed);
+  std::printf("base run: %zu passes executed, %zu homes simulated\n",
+              base_stats.executed, base_stats.homes_simulated);
   std::printf(
       "what-if run: %zu executed, %zu from cache (the population sample "
       "carried over: %llu fresh sample executions)\n",
       whatif_stats.executed, whatif_stats.cached,
       static_cast<unsigned long long>(whatif_pipe.executions("sample")));
+  std::printf(
+      "what-if homes: %zu re-simulated (changed by the fix), %zu reused "
+      "from the base run\n",
+      whatif_stats.homes_simulated, whatif_stats.homes_reused);
 
   const auto& base_result = base_pipe.output<engine::FleetResult>("fleet_result");
   const auto& whatif_result =

@@ -83,10 +83,14 @@ Pass simulate_pass(const traffic::ServiceCatalog& catalog) {
   p.outputs = {"fleet_result"};
   p.config_digest = catalog.content_digest();
   p.run = [&catalog](PassContext& ctx) {
+    // Under a caller's cache, homes another variant already simulated with
+    // the same key are copied from the cache's shard store.
+    engine::HomeCounts homes;
     ctx.out("fleet_result",
             engine::simulate_fleet(catalog,
                                    ctx.in<SampledFleet>("planned_fleet"),
-                                   ctx.pool()));
+                                   ctx.pool(), ctx.home_shards(), &homes));
+    ctx.count_homes(homes.simulated, homes.reused);
   };
   return p;
 }

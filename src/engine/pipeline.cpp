@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "core/thread_annotations.h"
+#include "engine/shard_store.h"
 
 namespace nbv6::engine {
 
@@ -16,6 +17,9 @@ DigestBuilder& DigestBuilder::f64(double v) {
 }
 
 // ----------------------------------------------------------------- cache
+
+PassCache::PassCache() = default;
+PassCache::~PassCache() = default;
 
 std::optional<std::vector<PipelineValue>> PassCache::find(
     std::uint64_t digest, std::string_view pass,
@@ -53,9 +57,20 @@ std::size_t PassCache::size() const {
 void PassCache::clear() {
   core::MutexLock lock(mutex_);
   map_.clear();
+  home_shards_.reset();
+}
+
+HomeShardStore& PassCache::home_shards() {
+  core::MutexLock lock(mutex_);
+  if (home_shards_ == nullptr) home_shards_ = std::make_unique<HomeShardStore>();
+  return *home_shards_;
 }
 
 // --------------------------------------------------------------- context
+
+HomeShardStore* PassContext::home_shards() const {
+  return shard_cache_ != nullptr ? &shard_cache_->home_shards() : nullptr;
+}
 
 const PipelineValue& PassContext::input_value(std::string_view name) const {
   for (std::size_t i = 0; i < input_names_->size(); ++i) {
@@ -174,13 +189,22 @@ void Pipeline::ensure_order() {
   order_valid_ = true;
 }
 
+namespace detail {
+ForestScheduler::Stats run_forest(const std::vector<Pipeline*>& pipelines,
+                                  PassCache& cache,
+                                  const ForestScheduler::Options& opts,
+                                  PassCache* shard_cache);
+}  // namespace detail
+
 Pipeline::RunStats Pipeline::run(PassCache* cache, ThreadPool* pool) {
   // The run-local cache holds only what bound_ holds anyway and dies with
-  // the call, so an uncached run still executes every pass.
+  // the call, so an uncached run still executes every pass. It is not
+  // offered as a shard cache: an uncached run builds no shard store.
   PassCache local;
   ForestScheduler::Options opts;
   opts.pool = pool;
-  return ForestScheduler::run({this}, cache != nullptr ? *cache : local, opts);
+  return detail::run_forest({this}, cache != nullptr ? *cache : local, opts,
+                            cache);
 }
 
 const PipelineValue& Pipeline::output_value(std::string_view resource) const {
@@ -247,9 +271,10 @@ struct TransientInstance {
 struct ForestRun {
  public:
   ForestRun(const std::vector<Pipeline*>& pipelines, PassCache& cache,
-            const ForestScheduler::Options& opts)
+            const ForestScheduler::Options& opts, PassCache* shard_cache)
       : pipes_(pipelines),
         cache_(cache),
+        shard_cache_(shard_cache),
         opts_(opts),
         workers_(std::max(1, opts.workers)),
         parallel_(opts.pool != nullptr && opts.workers > 1) {}
@@ -376,6 +401,13 @@ struct ForestRun {
     }
   }
 
+  /// What one pass execution produced.
+  struct Executed {
+    std::vector<PipelineValue> outputs;
+    std::size_t homes_simulated = 0;
+    std::size_t homes_reused = 0;
+  };
+
   // ---------------------------------------------- scheduling (lock held)
 
   const Pass& pass_of(const ForestNode& n) const {
@@ -477,12 +509,14 @@ struct ForestRun {
       cache_.erase(inst.producer_digest, inst.producer_pass);
   }
 
-  void complete_executed(std::size_t i, std::vector<PipelineValue> outputs)
-      NBV6_REQUIRES(m_) {
+  void complete_executed(std::size_t i, Executed done) NBV6_REQUIRES(m_) {
     ForestNode& n = nodes_[i];
     const Pass& pass = pass_of(n);
     ++n.pipe->nodes_[n.node_idx].executions;
     ++stats_.executed;
+    stats_.homes_simulated += done.homes_simulated;
+    stats_.homes_reused += done.homes_reused;
+    std::vector<PipelineValue>& outputs = done.outputs;
 
     std::vector<std::size_t> waiters;
     if (n.registered_inflight) {
@@ -515,29 +549,33 @@ struct ForestRun {
 
   /// Runs the pass body. No lock: inputs were pinned at ready time and the
   /// pass definition is immutable for the duration of the forest run.
-  std::vector<PipelineValue> execute(std::size_t i, ThreadPool* pass_pool) {
+  Executed execute(std::size_t i, ThreadPool* pass_pool) {
     ForestNode& n = nodes_[i];
     const Pass& pass = pass_of(n);
-    std::vector<PipelineValue> outputs(pass.outputs.size());
+    Executed done;
+    done.outputs.resize(pass.outputs.size());
     PassContext ctx;
     ctx.input_names_ = &pass.inputs;
     ctx.inputs_ = &n.inputs;
     ctx.output_names_ = &pass.outputs;
-    ctx.outputs_ = &outputs;
+    ctx.outputs_ = &done.outputs;
     ctx.pool_ = pass_pool;
+    ctx.shard_cache_ = shard_cache_;
     pass.run(ctx);
-    for (std::size_t o = 0; o < outputs.size(); ++o) {
-      if (!outputs[o].has_value())
+    for (std::size_t o = 0; o < done.outputs.size(); ++o) {
+      if (!done.outputs[o].has_value())
         throw std::logic_error("pass '" + pass.name +
                                "' did not set declared output '" +
                                pass.outputs[o] + "'");
     }
-    return outputs;
+    done.homes_simulated = ctx.homes_simulated_;
+    done.homes_reused = ctx.homes_reused_;
+    return done;
   }
 
   /// Body of a pool task: never lets an exception reach worker_loop.
   void run_task(std::size_t i) {
-    std::vector<PipelineValue> outputs;
+    Executed outputs;
     std::exception_ptr err;
     try {
       // Overlapped passes run with a null pool: no nested parallel_for
@@ -595,7 +633,7 @@ struct ForestRun {
         i = ready_.back();
         ready_.pop_back();
       }
-      std::vector<PipelineValue> outputs;
+      Executed outputs;
       std::exception_ptr err;
       try {
         // Inline execution happens on the caller, so passes may keep the
@@ -628,6 +666,9 @@ struct ForestRun {
 
   const std::vector<Pipeline*>& pipes_;
   PassCache& cache_;
+  /// The cache handed to passes for their shard store: the caller's, or
+  /// nullptr for an uncached Pipeline::run.
+  PassCache* const shard_cache_;
   const ForestScheduler::Options& opts_;
   const int workers_;
   const bool parallel_;
@@ -659,14 +700,21 @@ struct ForestRun {
   ForestScheduler::Stats stats_ NBV6_GUARDED_BY(m_);
 };
 
+ForestScheduler::Stats run_forest(const std::vector<Pipeline*>& pipelines,
+                                  PassCache& cache,
+                                  const ForestScheduler::Options& opts,
+                                  PassCache* shard_cache) {
+  if (pipelines.empty()) return {};
+  ForestRun run(pipelines, cache, opts, shard_cache);
+  return run.run();
+}
+
 }  // namespace detail
 
 ForestScheduler::Stats ForestScheduler::run(
     const std::vector<Pipeline*>& pipelines, PassCache& cache,
     const Options& opts) {
-  if (pipelines.empty()) return {};
-  detail::ForestRun run(pipelines, cache, opts);
-  return run.run();
+  return detail::run_forest(pipelines, cache, opts, &cache);
 }
 
 }  // namespace nbv6::engine

@@ -44,6 +44,8 @@
 
 namespace nbv6::engine {
 
+class HomeShardStore;  // engine/shard_store.h
+
 // --------------------------------------------------------------- digests
 
 /// FNV-1a accumulator for pass config-slice digests. Doubles are folded by
@@ -125,8 +127,15 @@ class PipelineValue {
 /// refcount bumps, not a fleet result). The old "pointer valid until the
 /// next store" contract is gone — it was unenforceable once the forest
 /// scheduler started storing from concurrent passes.
+///
+/// The cache also owns a per-home shard store (engine/shard_store.h) that
+/// the simulate passes run under it share, so a what-if variant simulates
+/// only the homes it changes.
 class PassCache {
  public:
+  PassCache();
+  ~PassCache();
+
   /// Hit iff the digest maps to an entry stored by a pass with the same
   /// name and output count; nullopt otherwise.
   [[nodiscard]] std::optional<std::vector<PipelineValue>> find(
@@ -138,8 +147,15 @@ class PassCache {
   /// Returns whether an entry was removed.
   bool erase(std::uint64_t digest, std::string_view pass);
 
+  /// Pass entries held; the shard store's shards are not counted.
   [[nodiscard]] std::size_t size() const;
+  /// Drops every pass entry and the shard store. Not while a run uses the
+  /// cache.
   void clear();
+
+  /// The per-home shard store, made on first use: a cache that runs no
+  /// simulate pass never builds one.
+  [[nodiscard]] HomeShardStore& home_shards();
 
  private:
   struct Entry {
@@ -148,6 +164,7 @@ class PassCache {
   };
   mutable core::Mutex mutex_;
   std::unordered_map<std::uint64_t, Entry> map_ NBV6_GUARDED_BY(mutex_);
+  std::unique_ptr<HomeShardStore> home_shards_ NBV6_GUARDED_BY(mutex_);
 };
 
 // ---------------------------------------------------------------- passes
@@ -179,6 +196,18 @@ class PassContext {
   /// lane-invariant results (everything built on the fleet stages does).
   [[nodiscard]] ThreadPool* pool() const { return pool_; }
 
+  /// The shard store of the cache the caller supplied
+  /// (PassCache::home_shards); nullptr when the caller supplied none
+  /// (Pipeline::run without a cache), so such a run builds no store.
+  [[nodiscard]] HomeShardStore* home_shards() const;
+
+  /// Per-home work of the pass (the simulate pass reports it), summed into
+  /// the run's RunStats::homes_simulated / homes_reused.
+  void count_homes(std::size_t simulated, std::size_t reused) {
+    homes_simulated_ += simulated;
+    homes_reused_ += reused;
+  }
+
   [[nodiscard]] const PipelineValue& input_value(std::string_view name) const;
   void set_output(std::string_view name, PipelineValue v);
 
@@ -189,6 +218,9 @@ class PassContext {
   const std::vector<std::string>* output_names_ = nullptr;
   std::vector<PipelineValue>* outputs_ = nullptr;
   ThreadPool* pool_ = nullptr;
+  PassCache* shard_cache_ = nullptr;
+  std::size_t homes_simulated_ = 0;
+  std::size_t homes_reused_ = 0;
 };
 
 /// One registered pass. `config_digest` must cover every configuration
@@ -235,6 +267,11 @@ class Pipeline {
     /// residency figure sweep_scenarios reports (25 variants with release
     /// hold ~1, without release all 25 planned fleets stay resident).
     std::size_t peak_resident = 0;
+    /// Homes the executed simulate passes simulated, and homes they copied
+    /// from the cache's shard store instead. A run without a caller cache
+    /// simulates every home of every executed simulate pass.
+    std::size_t homes_simulated = 0;
+    std::size_t homes_reused = 0;
   };
 
   /// Execute every pass in a topological order: ForestScheduler::run on

@@ -1,6 +1,7 @@
 #include "engine/run_spec.h"
 
 #include <algorithm>
+#include <atomic>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -10,6 +11,28 @@
 #include "traffic/arrival.h"
 
 namespace nbv6::engine {
+
+namespace {
+
+// One home's shard: private RNG (seeded from the config), private flat
+// conntrack table, private monitor. The monitor is attached where it lives
+// and never moves while the table is alive.
+void simulate_home(const traffic::ServiceCatalog& catalog,
+                   const traffic::ResidenceConfig& cfg,
+                   traffic::SimulationStats& stats,
+                   flowmon::FlowMonitor& monitor) {
+  FlatConntrack table;
+  monitor.attach(table);
+  traffic::ResidenceSimulator sim(catalog, cfg);
+  stats = sim.run(table);
+}
+
+void copy_shard(const HomeShard& shard, ResidenceRun& slot) {
+  slot.stats = shard.stats;
+  slot.monitor = shard.monitor;
+}
+
+}  // namespace
 
 SampledFleet sample_stage(const FleetConfig& cfg,
                           const traffic::ServiceCatalog& catalog) {
@@ -86,27 +109,54 @@ SampledFleet sample_stage(const FleetConfig& cfg,
 
 FleetResult simulate_fleet(const traffic::ServiceCatalog& catalog,
                            std::span<const traffic::ResidenceConfig> configs,
-                           ThreadPool* pool) {
+                           ThreadPool* pool, HomeShardStore* shards,
+                           HomeCounts* counts) {
+  const std::size_t n = configs.size();
   FleetResult out;
-  out.residences.resize(configs.size());
+  out.residences.resize(n);
 
-  // One shard per residence: private RNG (seeded from the config), private
-  // flat conntrack table, private monitor. The slot vector is preallocated,
-  // so each monitor is attached at its final address and never moves while
-  // its table is alive.
+  // Without a store every home simulates straight into its preallocated
+  // slot. With one, a home is stored (copy it), unclaimed (simulate and
+  // store it, then copy it) or claimed by a concurrent pass: then it is
+  // left in `pending` and waited for once every other home is done, so
+  // this pass never waits while it could be simulating.
+  const std::uint64_t catalog_digest =
+      shards != nullptr ? catalog.content_digest() : 0;
+  std::vector<HomeShardStore::Lookup> pending(shards != nullptr ? n : 0);
+  std::atomic<std::size_t> simulated{0};
   auto run_one = [&](std::size_t i) {
     ResidenceRun& slot = out.residences[i];
     slot.config = configs[i];
-    FlatConntrack table;
-    slot.monitor.attach(table);
-    traffic::ResidenceSimulator sim(catalog, configs[i]);
-    slot.stats = sim.run(table);
+    if (shards == nullptr) {
+      simulate_home(catalog, configs[i], slot.stats, slot.monitor);
+      return;
+    }
+    HomeShardStore::Lookup got =
+        shards->acquire(home_key(catalog_digest, configs[i]), [&] {
+          HomeShard shard;
+          simulate_home(catalog, configs[i], shard.stats, shard.monitor);
+          return shard;
+        });
+    if (got.simulated) simulated.fetch_add(1, std::memory_order_relaxed);
+    if (got.shard != nullptr) {
+      copy_shard(*got.shard, slot);
+    } else {
+      pending[i] = std::move(got);
+    }
   };
 
   if (pool != nullptr) {
-    pool->parallel_for(configs.size(), run_one);
+    pool->parallel_for(n, run_one);
   } else {
-    for (std::size_t i = 0; i < configs.size(); ++i) run_one(i);
+    for (std::size_t i = 0; i < n; ++i) run_one(i);
+  }
+  for (std::size_t i = 0; i < pending.size(); ++i) {
+    if (pending[i].pending != nullptr)
+      copy_shard(*shards->wait(pending[i]), out.residences[i]);
+  }
+  if (counts != nullptr) {
+    counts->simulated = shards != nullptr ? simulated.load() : n;
+    counts->reused = n - counts->simulated;
   }
 
   // Fixed-order reduction: counter merges are associative and commutative,
@@ -120,14 +170,16 @@ FleetResult simulate_fleet(const traffic::ServiceCatalog& catalog,
 }
 
 FleetResult simulate_fleet(const traffic::ServiceCatalog& catalog,
-                           const SampledFleet& fleet, ThreadPool* pool) {
+                           const SampledFleet& fleet, ThreadPool* pool,
+                           HomeShardStore* shards, HomeCounts* counts) {
   // Traits index into the residence vector downstream (group comparisons),
   // so a hand-built SampledFleet with mismatched sizes must fail here, not
   // as an out-of-bounds read later.
   if (fleet.traits.size() != fleet.configs.size())
     throw std::invalid_argument(
         "simulate_fleet: SampledFleet traits/configs size mismatch");
-  FleetResult out = simulate_fleet(catalog, fleet.configs, pool);
+  FleetResult out =
+      simulate_fleet(catalog, fleet.configs, pool, shards, counts);
   out.traits = fleet.traits;
   return out;
 }

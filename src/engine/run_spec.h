@@ -16,6 +16,7 @@
 
 #include "engine/firehose.h"
 #include "engine/fleet.h"
+#include "engine/shard_store.h"
 #include "engine/timeline.h"
 
 namespace nbv6::engine {
@@ -37,17 +38,29 @@ struct RunSpec {
 SampledFleet sample_stage(const FleetConfig& cfg,
                           const traffic::ServiceCatalog& catalog);
 
+/// How simulate_fleet came by its homes' shards.
+struct HomeCounts {
+  std::size_t simulated = 0;  ///< homes it simulated
+  std::size_t reused = 0;     ///< homes it copied from the shard store
+};
+
 /// Simulate every residence into its own shard and reduce in residence-
 /// index order. `pool` may be null (sequential); results are bit-identical
-/// either way.
+/// either way. With a shard store, a home whose key (engine/shard_store.h)
+/// is stored is copied from the store instead of simulated, and a home it
+/// simulates is stored; the result is bit-identical to a run without one.
+/// `counts`, when given, receives how many homes went which way.
 FleetResult simulate_fleet(const traffic::ServiceCatalog& catalog,
                            std::span<const traffic::ResidenceConfig> configs,
-                           ThreadPool* pool);
+                           ThreadPool* pool, HomeShardStore* shards = nullptr,
+                           HomeCounts* counts = nullptr);
 
 /// simulate_fleet(fleet.configs) carrying the stratum labels into the
 /// result. Throws std::invalid_argument on traits/configs size mismatch.
 FleetResult simulate_fleet(const traffic::ServiceCatalog& catalog,
-                           const SampledFleet& fleet, ThreadPool* pool);
+                           const SampledFleet& fleet, ThreadPool* pool,
+                           HomeShardStore* shards = nullptr,
+                           HomeCounts* counts = nullptr);
 
 /// Streaming outcome of stream_fleet.
 struct StreamStats {

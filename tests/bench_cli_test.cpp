@@ -1,12 +1,15 @@
 // The shared experiment-harness flag grammar (bench/bench_cli.h): one
-// parser, one --help.
+// parser, one --help. Also the environment scale knobs of
+// bench/bench_common.h, which must fail fast on a bad value.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "bench_cli.h"
+#include "bench_common.h"
 
 namespace {
 
@@ -105,6 +108,40 @@ TEST(BenchCli, PositionalsConsumeInOrder) {
   cli2.positional("second", &second, "");
   EXPECT_FALSE(cli2.parse(b.argc(), b.argv()));  // third has no slot
   EXPECT_EQ(cli2.exit_code(), 2);
+}
+
+// ------------------------------------------------- environment knobs
+
+constexpr const char* kKnob = "NBV6_TEST_SCALE_KNOB";
+
+TEST(BenchEnvKnobs, UnsetGivesFallbackAndNumbersParse) {
+  ::unsetenv(kKnob);
+  EXPECT_EQ(nbv6::bench::env_int(kKnob, 17), 17);
+  EXPECT_EQ(nbv6::bench::env_u64(kKnob, 18), 18u);
+  ::setenv(kKnob, "250", 1);
+  EXPECT_EQ(nbv6::bench::env_int(kKnob, 17), 250);
+  EXPECT_EQ(nbv6::bench::env_u64(kKnob, 18), 250u);
+  ::setenv(kKnob, "0", 1);
+  EXPECT_EQ(nbv6::bench::env_int(kKnob, 17), 0);
+  ::setenv(kKnob, "18446744073709551615", 1);
+  EXPECT_EQ(nbv6::bench::env_u64(kKnob, 18), UINT64_MAX);
+  ::unsetenv(kKnob);
+}
+
+TEST(BenchEnvKnobsDeathTest, BadValuesExitNamingTheVariable) {
+  for (const char* bad : {"abc", "12x", "-1", "", " 5", "99999999999"}) {
+    ::setenv(kKnob, bad, 1);
+    EXPECT_EXIT((void)nbv6::bench::env_int(kKnob, 1),
+                ::testing::ExitedWithCode(2), kKnob)
+        << "env_int('" << bad << "')";
+  }
+  for (const char* bad : {"abc", "7 ", "-1", "", "18446744073709551616"}) {
+    ::setenv(kKnob, bad, 1);
+    EXPECT_EXIT((void)nbv6::bench::env_u64(kKnob, 1),
+                ::testing::ExitedWithCode(2), kKnob)
+        << "env_u64('" << bad << "')";
+  }
+  ::unsetenv(kKnob);
 }
 
 }  // namespace

@@ -1,18 +1,24 @@
 // ForestScheduler: overlapped cross-variant pass scheduling over one shared
 // PassCache — byte-identical to the stage functions called in sequence at
 // any worker count, with in-flight dedup and transient resource release
-// asserted via execution counters and shared_ptr use counts.
+// asserted via execution counters and shared_ptr use counts. The per-home
+// shard store the simulate passes share is checked the same way: the
+// forest stays byte-identical to the store-free oracle and simulates each
+// distinct home key once.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/scenario_pipeline.h"
 #include "engine/fleet.h"
 #include "engine/pipeline.h"
+#include "engine/shard_store.h"
 #include "engine/thread_pool.h"
 #include "testutil.h"
 #include "traffic/service_catalog.h"
@@ -443,6 +449,299 @@ TEST(ForestScheduler, ScenarioTransientsLeaveCacheAfterForestRun) {
   const auto warm = pipes[0]->run(&cache);
   EXPECT_EQ(warm.executed, 2u);  // sample + timeline
   EXPECT_EQ(warm.cached, 4u);    // simulate, metrics, report, window_panel
+}
+
+// ------------------------------------------------------ shard reuse
+
+using engine::HomeKey;
+using engine::HomeShard;
+using engine::HomeShardStore;
+using testutil::distinct_home_keys;
+
+// The what-if shape of perfbench's fleet forest and of sweep_scenarios:
+// variant v > 0 appends one cpe_fix from day days/4 repairing v/variants
+// of the broken-IPv6 homes.
+std::vector<engine::FleetConfig> cpe_fix_forest(std::uint64_t seed,
+                                                int residences, int days,
+                                                int variants) {
+  engine::FleetConfig base;
+  base.residences = residences;
+  base.days = days;
+  base.seed = seed;
+  std::vector<engine::FleetConfig> cfgs;
+  for (int v = 0; v < variants; ++v) {
+    engine::FleetConfig cfg = base;
+    if (v > 0) {
+      engine::TimelineEvent fix;
+      fix.kind = engine::TimelineEventKind::cpe_fix;
+      fix.start_day = days / 4;
+      fix.end_day = days - 1;
+      fix.fraction = static_cast<double>(v) / variants;
+      cfg.timeline->events.push_back(fix);
+    }
+    cfgs.push_back(std::move(cfg));
+  }
+  return cfgs;
+}
+
+struct ForestOutcome {
+  std::vector<std::string> canon;  ///< per variant
+  ForestScheduler::Stats stats;
+};
+
+// The forest over `cache`, overlapped at `workers` (inline at 1).
+ForestOutcome run_forest(const std::vector<engine::FleetConfig>& cfgs,
+                         const traffic::ServiceCatalog& catalog, int workers,
+                         PassCache& cache) {
+  std::unique_ptr<engine::ThreadPool> pool;
+  if (workers > 1) pool = std::make_unique<engine::ThreadPool>(workers);
+  std::vector<std::unique_ptr<Pipeline>> pipes;
+  std::vector<Pipeline*> ptrs;
+  for (const auto& cfg : cfgs) {
+    pipes.push_back(std::make_unique<Pipeline>(
+        core::make_scenario_pipeline(cfg, catalog)));
+    ptrs.push_back(pipes.back().get());
+  }
+  ForestScheduler::Options opts;
+  opts.pool = pool.get();
+  opts.workers = workers;
+  opts.transient = core::scenario_transient_resources();
+  ForestOutcome out;
+  out.stats = ForestScheduler::run(ptrs, cache, opts);
+  for (std::size_t v = 0; v < cfgs.size(); ++v)
+    out.canon.push_back(serialize_pipe(cfgs[v], *pipes[v]));
+  return out;
+}
+
+std::vector<std::string> oracle(const std::vector<engine::FleetConfig>& cfgs,
+                                const traffic::ServiceCatalog& catalog) {
+  std::vector<std::string> expected;
+  for (const auto& cfg : cfgs)
+    expected.push_back(
+        testutil::canonical_serialize(testutil::run_scenario(cfg, catalog, 4)));
+  return expected;
+}
+
+// Shard reuse on the benchmark's forest: the overlapped forest at 1 and 4
+// workers and the serial Pipeline::run(&cache) loop are all byte-identical
+// to the store-free stage functions, keep the pass counts of a run without
+// reuse, and simulate each distinct home key exactly once.
+TEST(ShardReuse, BenchmarkForestMatchesOracleAndSimulatesEachKeyOnce) {
+  const auto catalog = traffic::build_paper_catalog();
+  const int variants = 7;
+  const auto cfgs = cpe_fix_forest(/*seed=*/1, 64, 28, variants);
+  const auto expected = oracle(cfgs, catalog);
+  const std::size_t keys = distinct_home_keys(cfgs, catalog);
+  // 64 homes, plus one key per (variant, home) the cpe_fix waves change,
+  // minus repeats: a home repaired on the same day in two variants.
+  EXPECT_EQ(keys, 69u);
+  const std::size_t homes = static_cast<std::size_t>(variants) * 64;
+
+  {
+    PassCache cache;
+    std::size_t simulated = 0;
+    std::size_t reused = 0;
+    for (int v = 0; v < variants; ++v) {
+      Pipeline pipe = core::make_scenario_pipeline(cfgs[v], catalog);
+      const auto stats = pipe.run(&cache);
+      simulated += stats.homes_simulated;
+      reused += stats.homes_reused;
+      EXPECT_EQ(serialize_pipe(cfgs[v], pipe), expected[v])
+          << "serial variant " << v;
+    }
+    EXPECT_EQ(simulated, keys);
+    EXPECT_EQ(simulated + reused, homes);
+    EXPECT_EQ(cache.home_shards().size(), keys);
+  }
+
+  for (int workers : {1, 4}) {
+    PassCache cache;
+    const ForestOutcome got = run_forest(cfgs, catalog, workers, cache);
+    for (int v = 0; v < variants; ++v)
+      EXPECT_EQ(got.canon[v], expected[v])
+          << "variant " << v << " @ " << workers << " workers";
+    EXPECT_EQ(got.stats.homes_simulated, keys) << workers << " workers";
+    EXPECT_EQ(got.stats.homes_simulated + got.stats.homes_reused, homes);
+    // The pass graph is unchanged: 6 passes per pipeline, the base sampled
+    // once and deduplicated into the other variants.
+    EXPECT_EQ(got.stats.executed + got.stats.deduped,
+              static_cast<std::size_t>(6 * variants));
+    EXPECT_EQ(got.stats.deduped, static_cast<std::size_t>(variants - 1));
+    EXPECT_EQ(got.stats.cached, 0u);
+  }
+}
+
+// A seasonal swing changes every home's day plans in every variant, so no
+// shard is reusable: the forest simulates every home of every variant and
+// its output is still the oracle's.
+TEST(ShardReuse, SeasonalForestReusesNothingAndStaysIdentical) {
+  const auto catalog = traffic::build_paper_catalog();
+  engine::FleetConfig base;
+  base.residences = 12;
+  base.days = 10;
+  base.seed = 5;
+  std::vector<engine::FleetConfig> cfgs;
+  for (int v = 0; v < 3; ++v) {
+    engine::FleetConfig cfg = base;
+    if (v > 0) {
+      engine::TimelineEvent swing;
+      swing.kind = engine::TimelineEventKind::seasonal;
+      swing.start_day = 0;
+      swing.end_day = cfg.days - 1;
+      swing.amplitude = 0.2 * v;
+      swing.period_days = 7;
+      cfg.timeline->events.push_back(swing);
+    }
+    cfgs.push_back(std::move(cfg));
+  }
+  const auto expected = oracle(cfgs, catalog);
+  EXPECT_EQ(distinct_home_keys(cfgs, catalog), 36u);
+
+  for (int workers : {1, 4}) {
+    PassCache cache;
+    const ForestOutcome got = run_forest(cfgs, catalog, workers, cache);
+    for (std::size_t v = 0; v < cfgs.size(); ++v)
+      EXPECT_EQ(got.canon[v], expected[v])
+          << "variant " << v << " @ " << workers << " workers";
+    EXPECT_EQ(got.stats.homes_simulated, 36u) << workers << " workers";
+    EXPECT_EQ(got.stats.homes_reused, 0u) << workers << " workers";
+  }
+}
+
+HomeShard shard_with_sessions(std::uint64_t sessions) {
+  HomeShard s;
+  s.stats.sessions = sessions;
+  return s;
+}
+
+// A 64-bit digest collision is a miss: the store matches on the key bytes.
+TEST(ShardReuse, ForcedDigestCollisionIsAMiss) {
+  HomeShardStore store;
+  HomeShardStore::TestHooks hooks;
+  hooks.digest = [](const HomeKey&) { return std::uint64_t{0}; };
+  store.set_test_hooks(std::move(hooks));
+
+  const HomeKey a{1, "home a"};
+  const HomeKey b{2, "home b"};
+  const auto got_a = store.acquire(a, [] { return shard_with_sessions(10); });
+  const auto got_b = store.acquire(b, [] { return shard_with_sessions(20); });
+  EXPECT_TRUE(got_a.simulated);
+  EXPECT_TRUE(got_b.simulated);  // same forced digest, other bytes: a miss
+  EXPECT_EQ(got_b.shard->stats.sessions, 20u);
+  const auto again = store.acquire(a, [] { return shard_with_sessions(99); });
+  EXPECT_FALSE(again.simulated);
+  EXPECT_EQ(again.shard->stats.sessions, 10u);
+  EXPECT_EQ(store.size(), 2u);
+
+  // The same on a whole forest: every key collides, nothing is mixed up.
+  const auto catalog = traffic::build_paper_catalog();
+  const auto cfgs = cpe_fix_forest(/*seed=*/3, 16, 12, 4);
+  PassCache cache;
+  HomeShardStore::TestHooks collide;
+  collide.digest = [](const HomeKey&) { return std::uint64_t{42}; };
+  cache.home_shards().set_test_hooks(std::move(collide));
+  const ForestOutcome got = run_forest(cfgs, catalog, 4, cache);
+  const auto expected = oracle(cfgs, catalog);
+  for (std::size_t v = 0; v < cfgs.size(); ++v)
+    EXPECT_EQ(got.canon[v], expected[v]) << "variant " << v;
+  EXPECT_EQ(got.stats.homes_simulated, distinct_home_keys(cfgs, catalog));
+}
+
+// A pass that finds a key claimed gets `pending` and, once the claimant
+// lands the shard, that shard.
+TEST(ShardReuse, WaiterGetsTheClaimantsShard) {
+  HomeShardStore store;
+  const HomeKey key{7, "home"};
+  std::promise<void> claimed;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::thread claimant([&] {
+    const auto got = store.acquire(key, [&] {
+      claimed.set_value();
+      released.wait();
+      return shard_with_sessions(5);
+    });
+    EXPECT_TRUE(got.simulated);
+  });
+  claimed.get_future().wait();
+  const auto busy = store.acquire(key, [] {
+    ADD_FAILURE() << "a claimed key was simulated twice";
+    return shard_with_sessions(0);
+  });
+  ASSERT_NE(busy.pending, nullptr);
+  EXPECT_EQ(busy.shard, nullptr);
+  release.set_value();
+  EXPECT_EQ(store.wait(busy)->stats.sessions, 5u);
+  claimant.join();
+  EXPECT_EQ(store.size(), 1u);
+}
+
+// A claimant that throws hands its error to the waiters and frees the key.
+TEST(ShardReuse, ClaimantFailureReachesWaitersAndFreesTheKey) {
+  HomeShardStore store;
+  const HomeKey key{7, "home"};
+  std::promise<void> claimed;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::thread claimant([&] {
+    EXPECT_THROW(store.acquire(key,
+                               [&]() -> HomeShard {
+                                 claimed.set_value();
+                                 released.wait();
+                                 throw std::runtime_error("home blew up");
+                               }),
+                 std::runtime_error);
+  });
+  claimed.get_future().wait();
+  const auto busy = store.acquire(key, [] { return shard_with_sessions(0); });
+  ASSERT_NE(busy.pending, nullptr);
+  release.set_value();
+  EXPECT_THROW((void)store.wait(busy), std::runtime_error);
+  claimant.join();
+  EXPECT_EQ(store.size(), 0u);
+
+  const auto again = store.acquire(key, [] { return shard_with_sessions(8); });
+  EXPECT_TRUE(again.simulated);
+  EXPECT_EQ(store.size(), 1u);
+}
+
+// A throw inside one home's simulation fails the whole forest: it
+// propagates, no pass is left waiting on the failed home, and no pipeline
+// keeps bound state. The same cache then runs the forest clean.
+TEST(ShardReuse, ThrowInsideAHomeSimulationFailsTheForestCleanly) {
+  const auto catalog = traffic::build_paper_catalog();
+  const auto cfgs = cpe_fix_forest(/*seed=*/2, 16, 12, 5);
+  PassCache cache;
+  auto simulations = std::make_shared<std::atomic<int>>(0);
+  HomeShardStore::TestHooks hooks;
+  hooks.before_simulate = [simulations] {
+    if (simulations->fetch_add(1) == 4)
+      throw std::runtime_error("injected home failure");
+  };
+  cache.home_shards().set_test_hooks(std::move(hooks));
+
+  engine::ThreadPool pool(4);
+  std::vector<std::unique_ptr<Pipeline>> pipes;
+  std::vector<Pipeline*> ptrs;
+  for (const auto& cfg : cfgs) {
+    pipes.push_back(std::make_unique<Pipeline>(
+        core::make_scenario_pipeline(cfg, catalog)));
+    ptrs.push_back(pipes.back().get());
+  }
+  ForestScheduler::Options opts;
+  opts.pool = &pool;
+  opts.workers = 4;
+  opts.transient = core::scenario_transient_resources();
+  EXPECT_THROW(ForestScheduler::run(ptrs, cache, opts), std::runtime_error);
+  for (const auto& p : pipes)
+    EXPECT_THROW((void)p->output_value("fleet_result"), std::logic_error);
+
+  cache.home_shards().set_test_hooks({});
+  ForestScheduler::run(ptrs, cache, opts);
+  const auto expected = oracle(cfgs, catalog);
+  for (std::size_t v = 0; v < cfgs.size(); ++v)
+    EXPECT_EQ(serialize_pipe(cfgs[v], *pipes[v]), expected[v])
+        << "variant " << v;
 }
 
 }  // namespace

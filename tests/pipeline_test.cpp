@@ -11,6 +11,7 @@
 #include "core/scenario_pipeline.h"
 #include "engine/fleet.h"
 #include "engine/pipeline.h"
+#include "engine/shard_store.h"
 #include "engine/thread_pool.h"
 #include "testutil.h"
 #include "traffic/service_catalog.h"
@@ -394,6 +395,175 @@ TEST(ScenarioPipeline, PipelinedRunsMatchStandaloneByteForByte) {
           << testutil::first_diff(got, expected);
     }
   }
+}
+
+// ------------------------------------------------------ per-home keys
+
+using traffic::DayPlan;
+using traffic::ResidenceConfig;
+
+ResidenceConfig key_test_home() {
+  ResidenceConfig c;
+  c.name = "R3";
+  c.days = 5;
+  c.service_weight_overrides = {{"GOOGLE", 2.0}, {"TWITCH", 0.5}};
+  c.away_day_ranges = {{1, 2}};
+  c.seed = 99;
+  return c;
+}
+
+constexpr int kConfigFields = 14;
+
+// Changes field `which` of `c`. The structured binding names every field,
+// so a field added to ResidenceConfig breaks this build until it gets an
+// edit here; the test below then fails unless home_key covers it.
+void edit_config_field(ResidenceConfig& c, int which) {
+  auto& [name, days, start_weekday, activity_scale, device_v6_ok_frac,
+         visibility, internal_flows_per_hour, internal_v6_frac,
+         background_v4_bias, service_weight_overrides, away_day_ranges,
+         day_plan_fn, arrival, seed] = c;
+  switch (which) {
+    case 0: name = "R30"; break;
+    case 1: days += 1; break;
+    case 2: start_weekday += 1; break;
+    case 3: activity_scale += 0.5; break;
+    case 4: device_v6_ok_frac = 0.5; break;
+    case 5: visibility = 0.7; break;
+    case 6: internal_flows_per_hour += 1.0; break;
+    case 7: internal_v6_frac += 0.1; break;
+    case 8: background_v4_bias -= 0.1; break;
+    case 9: service_weight_overrides[1].second = 0.75; break;
+    case 10: away_day_ranges[0].second = 3; break;
+    case 11:
+      day_plan_fn = [](int day) {
+        DayPlan p;
+        if (day == 2) p.outage = true;
+        return p;
+      };
+      break;
+    case 12: arrival.ticks_per_hour += 1; break;
+    case 13: seed += 1; break;
+    default: FAIL() << "no edit for field " << which;
+  }
+}
+
+constexpr int kPlanFields = 11;
+
+// Same guard for DayPlan: field `which` changed away from its default.
+void edit_plan_field(DayPlan& p, int which) {
+  auto& [activity_mult, device_v6_ok_frac, internal_v6_frac, outage, nat64,
+         prefix_epoch, service_down_mask, cgn_port_budget, lambda_mult,
+         flash_hour_mask, flash_mult] = p;
+  switch (which) {
+    case 0: activity_mult = 1.25; break;
+    case 1: device_v6_ok_frac = 1.0; break;
+    case 2: internal_v6_frac = 0.5; break;
+    case 3: outage = true; break;
+    case 4: nat64 = true; break;
+    case 5: prefix_epoch = 1; break;
+    case 6: service_down_mask = 4; break;
+    case 7: cgn_port_budget = 100; break;
+    case 8: lambda_mult = 2.0; break;
+    case 9: flash_hour_mask = 1u << 20; break;
+    case 10: flash_mult = 3.0; break;
+    default: FAIL() << "no edit for plan field " << which;
+  }
+}
+
+TEST(HomeKey, ChangesWithEveryResidenceConfigField) {
+  const ResidenceConfig base = key_test_home();
+  const engine::HomeKey key = engine::home_key(7, base);
+  EXPECT_EQ(engine::home_key(7, base), key);
+  for (int f = 0; f < kConfigFields; ++f) {
+    ResidenceConfig edited = base;
+    edit_config_field(edited, f);
+    const engine::HomeKey k = engine::home_key(7, edited);
+    EXPECT_NE(k.bytes, key.bytes) << "field " << f;
+    EXPECT_NE(k.digest, key.digest) << "field " << f;
+  }
+  // The arrival mode is the one ArrivalConfig field the edit above skips.
+  ResidenceConfig poisson = base;
+  poisson.arrival.mode = traffic::ArrivalMode::poisson;
+  EXPECT_NE(engine::home_key(7, poisson).bytes, key.bytes);
+  // Doubles go in by bit pattern, so -0.0 is not 0.0.
+  ResidenceConfig zero = base;
+  zero.activity_scale = 0.0;
+  ResidenceConfig neg_zero = base;
+  neg_zero.activity_scale = -0.0;
+  EXPECT_NE(engine::home_key(7, zero).bytes,
+            engine::home_key(7, neg_zero).bytes);
+}
+
+TEST(HomeKey, ChangesWithEveryDayPlanFieldOnOneDay) {
+  const ResidenceConfig base = key_test_home();
+  const engine::HomeKey key = engine::home_key(7, base);
+  for (int f = 0; f < kPlanFields; ++f) {
+    ResidenceConfig edited = base;
+    edited.day_plan_fn = [f](int day) {
+      DayPlan p;
+      if (day == 3) edit_plan_field(p, f);
+      return p;
+    };
+    EXPECT_NE(engine::home_key(7, edited).bytes, key.bytes)
+        << "plan field " << f;
+  }
+}
+
+TEST(HomeKey, ChangesWithTheCatalogAndIgnoresHowPlansAreProvided) {
+  const ResidenceConfig base = key_test_home();
+  EXPECT_NE(engine::home_key(7, base).bytes, engine::home_key(8, base).bytes);
+  EXPECT_NE(engine::home_key(7, base).digest,
+            engine::home_key(8, base).digest);
+  // A provider that returns the static plan every day simulates exactly
+  // like no provider, so it keys the same: this is what lets the homes a
+  // what-if event leaves alone reuse the base variant's shards.
+  ResidenceConfig provided = base;
+  provided.day_plan_fn = [](int) { return traffic::kStaticDayPlan; };
+  EXPECT_EQ(engine::home_key(7, provided), engine::home_key(7, base));
+}
+
+// Only a caller's cache carries a shard store. Without one every home of
+// the simulate pass is simulated; with one, a what-if variant simulates the
+// homes its timeline changes and copies the rest.
+TEST(ScenarioPipeline, HomeCountersFollowTheShardStore) {
+  const auto catalog = traffic::build_paper_catalog();
+  const auto base = small_config();
+  Pipeline uncached = core::make_scenario_pipeline(base, catalog);
+  const auto none = uncached.run();
+  EXPECT_EQ(none.homes_simulated, 8u);
+  EXPECT_EQ(none.homes_reused, 0u);
+
+  PassCache cache;
+  Pipeline p1 = core::make_scenario_pipeline(base, catalog);
+  const auto first = p1.run(&cache);
+  EXPECT_EQ(first.homes_simulated, 8u);
+  EXPECT_EQ(first.homes_reused, 0u);
+  const auto warm = p1.run(&cache);  // simulate pass cached: no homes
+  EXPECT_EQ(warm.homes_simulated + warm.homes_reused, 0u);
+
+  // An outage for half the homes: some homes change, the rest do not.
+  auto variant = base;
+  engine::TimelineEvent outage;
+  outage.kind = engine::TimelineEventKind::outage;
+  outage.start_day = 2;
+  outage.end_day = 3;
+  outage.fraction = 0.5;
+  variant.timeline->events.push_back(outage);
+  const auto planned = testutil::plan_scenario(variant, catalog);
+  const auto unplanned = testutil::plan_scenario(base, catalog);
+  std::size_t changed = 0;
+  for (std::size_t i = 0; i < planned.configs.size(); ++i) {
+    changed += engine::home_key(catalog.content_digest(), planned.configs[i]) !=
+               engine::home_key(catalog.content_digest(), unplanned.configs[i]);
+  }
+  ASSERT_GT(changed, 0u);
+  ASSERT_LT(changed, 8u);
+  Pipeline p2 = core::make_scenario_pipeline(variant, catalog);
+  const auto whatif = p2.run(&cache);
+  EXPECT_EQ(whatif.homes_simulated, changed);
+  EXPECT_EQ(whatif.homes_reused, 8u - changed);
+  EXPECT_EQ(p2.output<engine::FleetResult>("fleet_result").totals.flows,
+            testutil::simulate_scenario(variant, catalog, nullptr).totals.flows);
 }
 
 }  // namespace

@@ -10,9 +10,11 @@
 #include <iterator>
 #include <memory>
 #include <sstream>
+#include <unordered_set>
 
 #include "engine/run_spec.h"
 #include "engine/scenario_fuzz.h"
+#include "engine/shard_store.h"
 #include "engine/thread_pool.h"
 
 namespace nbv6::testutil {
@@ -109,6 +111,16 @@ engine::SampledFleet plan_scenario(const engine::FleetConfig& cfg,
   engine::SampledFleet fleet = engine::sample_stage(cfg, catalog);
   engine::apply_timeline(fleet, cfg.timeline, cfg.seed, cfg.days);
   return fleet;
+}
+
+std::size_t distinct_home_keys(const std::vector<engine::FleetConfig>& cfgs,
+                               const traffic::ServiceCatalog& catalog) {
+  std::unordered_set<std::string> keys;
+  for (const auto& cfg : cfgs) {
+    for (const auto& home : plan_scenario(cfg, catalog).configs)
+      keys.insert(engine::home_key(catalog.content_digest(), home).bytes);
+  }
+  return keys.size();
 }
 
 engine::FleetResult simulate_scenario(const engine::FleetConfig& cfg,

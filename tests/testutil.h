@@ -56,6 +56,12 @@ struct ScenarioRun {
 engine::SampledFleet plan_scenario(const engine::FleetConfig& cfg,
                                    const traffic::ServiceCatalog& catalog);
 
+/// Distinct engine::home_key values over the planned fleets of `cfgs`: the
+/// homes a forest of those scenarios must simulate when its simulate
+/// passes share one shard store, each exactly once.
+std::size_t distinct_home_keys(const std::vector<engine::FleetConfig>& cfgs,
+                               const traffic::ServiceCatalog& catalog);
+
 /// plan_scenario, then simulate_fleet on `pool` (nullptr = sequential).
 engine::FleetResult simulate_scenario(const engine::FleetConfig& cfg,
                                       const traffic::ServiceCatalog& catalog,
